@@ -5,12 +5,10 @@
 // results are bit-for-bit identical at any parallelism.
 //
 // The scenario knobs (-failure-rate, -max-retries, -failure-seed,
-// -outage-rate, -outage-duration, -outage-seed, -checkpoint-interval,
-// -flow-version) are registered from the shared option table
-// (internal/scenario), so wfbench and wfsim stay in automatic parity;
-// here they parameterize the failure/outage studies and the grid
-// exports (-flow-version 2 exports the grid as computed by the
-// coalescing flow solver). -spec runs a whole serialized experiment
+// -outage-rate, -outage-duration, -outage-seed, -checkpoint-interval)
+// are registered from the shared option table (internal/scenario), so
+// wfbench and wfsim stay in automatic parity; here they parameterize
+// the failure/outage studies. -spec runs a whole serialized experiment
 // (a wfsim -emit-spec file, or a hand-written grid) instead.
 //
 // Usage:
@@ -30,7 +28,6 @@
 //	wfbench -parallel 8          # bound concurrent cells (default: all cores)
 //	wfbench -csv grid.csv        # full experiment grid as CSV
 //	wfbench -json grid.jsonl     # full grid as JSON lines ("-" = stdout)
-//	wfbench -flow-version 2 -json grid2.jsonl  # grid under the v2 flow solver
 //	wfbench -seeds 5 -csv m.csv  # multi-seed replication with mean/stddev
 //	wfbench -progress            # per-cell progress on stderr
 //	wfbench -spec exp.json       # run a serialized experiment, JSON rows to stdout
@@ -135,17 +132,6 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 	if (spec.OutageDuration != 0 || spec.OutageSeed != 0 || spec.CheckpointInterval != 0) && !outageStudy {
 		return fmt.Errorf("-outage-duration, -outage-seed and -checkpoint-interval apply to the outage study; add -outage-rate or -ablation outages")
 	}
-	if spec.FlowVersion != 0 {
-		if spec.FlowVersion < 0 || spec.FlowVersion > 2 {
-			return fmt.Errorf("-flow-version must be 0 (default), 1 or 2")
-		}
-		if csvPath == "" && jsonPath == "" {
-			// The figures and tables render the paper's pinned numbers,
-			// which are defined under the default solver; the raw grid
-			// exports are where a cross-solver comparison lives.
-			return fmt.Errorf("-flow-version applies to the grid exports; add -csv or -json")
-		}
-	}
 	if seeds > 1 && (table1 || diskTable || (ablation != "" && ablation != "failures" && ablation != "outages" && ablation != "scale")) {
 		// Table I, the disk table and the fixed-cell ablations render the
 		// paper's single measurements; failing loudly beats silently
@@ -193,9 +179,9 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 		fmt.Print(out)
 		return nil
 	case csvPath != "":
-		return writeGrid(csvPath, spec.FlowVersion, opt, writeCSVRows)
+		return writeGrid(csvPath, opt, writeCSVRows)
 	case jsonPath != "":
-		return writeGrid(jsonPath, spec.FlowVersion, opt, writeJSONRows)
+		return writeGrid(jsonPath, opt, writeJSONRows)
 	case table1:
 		return printTableI()
 	case diskTable:
@@ -329,17 +315,11 @@ func printProgress(u sweep.Update[harness.RunConfig, *harness.RunResult]) {
 type gridWriter func(w io.Writer, cfgs []harness.RunConfig, opt harness.SweepOptions) error
 
 // writeGrid dumps the full (application x storage x nodes) grid — the
-// raw data behind every figure, ready for external analysis — under the
-// requested flow-solver version (-flow-version 2 exports the whole grid
-// as computed by the coalescing solver, memoized separately from the
-// default grid).
-func writeGrid(path string, flowVersion int, opt harness.SweepOptions, write gridWriter) error {
+// raw data behind every figure, ready for external analysis.
+func writeGrid(path string, opt harness.SweepOptions, write gridWriter) error {
 	var cfgs []harness.RunConfig
 	for _, app := range []string{"montage", "epigenome", "broadband"} {
 		cfgs = append(cfgs, harness.GridConfigs(app)...)
-	}
-	for i := range cfgs {
-		cfgs[i].FlowVersion = flowVersion
 	}
 	out := os.Stdout
 	if path != "-" {

@@ -128,7 +128,6 @@ func cmdSummary(args []string) int {
 	}
 	fmt.Printf("  spec          %s\n", string(h.Spec))
 	fmt.Printf("  seed          %#x\n", h.Seed)
-	fmt.Printf("  flow version  %d\n", h.FlowVersion)
 	if len(h.Workflow) > 0 {
 		fmt.Printf("  workflow      embedded (%s)\n", units.Bytes(float64(len(h.Workflow))))
 	}

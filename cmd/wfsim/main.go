@@ -18,7 +18,6 @@
 //	wfsim -app montage -storage pvfs -nodes 4 -failure-rate 0.1 -max-retries 5
 //	wfsim -app montage -storage pvfs -nodes 4 -outage-rate 1 -checkpoint-interval 120
 //	wfsim -app montage -storage nfs -nodes 2 -worker-type m1.large
-//	wfsim -app montage -storage pvfs -nodes 4 -flow-version 2
 //	wfsim -app montage -storage nfs -nodes 2 -emit-spec run.json
 //	wfsim -spec run.json -json
 //	wfsim -app montage -storage nfs -nodes 2 -events run.wfevt

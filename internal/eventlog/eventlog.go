@@ -178,13 +178,17 @@ type Header struct {
 	// (empty for runs of custom in-memory workflows, which have no key).
 	CellKey string `json:"cell_key,omitempty"`
 	// Spec is the serialized scenario spec (scenario.Spec canonical
-	// JSON): application, storage, cluster shape, every seed, the flow
-	// version. Replay rebuilds the run from it.
+	// JSON): application, storage, cluster shape, every seed. Replay
+	// rebuilds the run from it.
 	Spec RawJSON `json:"spec"`
 	// Seed is the effective provisioning-jitter seed (the spec's seed
 	// with the fixed default applied), denormalized for greppability.
 	Seed uint64 `json:"seed,omitempty"`
-	// FlowVersion is the spec's flow-solver version, denormalized.
+	// FlowVersion is a retired wire-format field; writers leave it 0,
+	// so it is omitted from every new log.
+	//
+	// Deprecated: the simulator has a single flow solver. The field
+	// remains only because perfbench's composed logs still set it.
 	FlowVersion int `json:"flow_version,omitempty"`
 	// Workflow is the serialized DAG (workflow JSON) when the run used a
 	// custom in-memory workflow rather than a catalog application; nil

@@ -3,16 +3,16 @@ package flow
 import "ec2wfsim/internal/sim"
 
 // A Batch registers several transfers as one atomic graph update: Add
-// stages shard transfers, Run inserts them all and re-solves their
-// component once, then blocks until every shard completes. This is the
-// entry point for striped fan-out I/O (one logical read spread over every
-// PVFS server): N shards cost one reallocation instead of N, and all
-// bookkeeping (the batch itself, the shared completion handle, the shard
-// records) recycles through the network's free lists.
+// stages shard transfers, Run inserts them all under one reallocation,
+// then blocks until every shard completes. This is the entry point for
+// striped fan-out I/O (one logical read spread over every PVFS server):
+// all shards complete through one shared handle, and all bookkeeping (the
+// batch itself, the shared completion handle, the shard records) recycles
+// through the network's free lists.
 //
 // A batch must be staged and run within a single process turn (no parks
-// between NewBatch and Run) so its shards join the active set
-// contiguously, and must not be reused after Run returns.
+// between NewBatch and Run), so its shards start at the instant they were
+// staged, and must not be reused after Run returns.
 type Batch struct {
 	n  *Net
 	pd *Pending
@@ -51,18 +51,11 @@ func (b *Batch) Run(p *sim.Proc) {
 	n := b.n
 	if len(b.ts) == 0 {
 		b.pd.done = true
-	} else if n.version >= 2 {
+	} else {
 		for _, t := range b.ts {
 			n.attach(t)
 		}
 		n.requestFlush()
-	} else {
-		n.advance()
-		for _, t := range b.ts {
-			n.attach(t)
-		}
-		n.sol.solve(n.active)
-		n.scheduleNext()
 	}
 	b.pd.Wait(p)
 	n.releasePending(b.pd)

@@ -13,10 +13,13 @@
 //
 // Rates are recomputed whenever a transfer starts or finishes or a
 // capacity changes, so rates are piecewise constant and completions are
-// exact. The recomputation is incremental: the network maintains an
-// explicit transfer↔resource graph (see solver) and re-solves only the
-// connected component touched by an event, which keeps the per-event cost
-// proportional to the contended neighbourhood instead of the whole active
+// exact. The recomputation is incremental and coalesced: the network
+// maintains an explicit transfer↔resource graph (see solver), events only
+// mark the resources they touch dirty, and one deferred flush per
+// simulated timestamp re-solves the connected component(s) reachable from
+// the dirty set. Progress is integrated lazily, per transfer, and the next
+// completion comes from a min-heap of per-transfer ETAs, so the per-event
+// cost follows the contended neighbourhood instead of the whole active
 // set. Transfer and Pending records, private rate-cap resources
 // (AcquireCap) and the per-event scratch all recycle through free lists,
 // so steady-state transfer churn performs no allocations.
@@ -61,9 +64,9 @@ type Resource struct {
 	pooledCap bool
 	pooled    bool
 
-	// members lists the active transfers crossing this resource, in
-	// start order — one side of the solver's bipartite graph. It is
-	// maintained incrementally by attach/detach.
+	// members lists the active transfers crossing this resource — one
+	// side of the solver's bipartite graph. It is maintained
+	// incrementally by attach/detach; its order carries no meaning.
 	members []*transfer
 }
 
@@ -101,10 +104,9 @@ type transfer struct {
 	visit     int64
 	id        int64
 
-	// v2 state: lazy-integration timestamp, the rate of the previous
-	// solve (to skip re-keying ETAs that are still exact), position in
-	// the ETA heap (-1 when absent) and in the active list (for
-	// swap-removal). v1 leaves all four untouched.
+	// Lazy-integration timestamp, the rate of the previous solve (to
+	// skip re-keying ETAs that are still exact), position in the ETA
+	// heap (-1 when absent) and in the active list (for swap-removal).
 	last      float64
 	prevRate  float64
 	etaPos    int
@@ -149,16 +151,14 @@ func (pd *Pending) complete() {
 
 // Net manages the set of active transfers over a shared resource pool.
 type Net struct {
-	e          *sim.Engine
-	active     []*transfer // in start order (the v1 solver relies on this)
-	timer      *sim.ReTimer
-	lastUpdate float64
-	nextID     int64
-	sol        solver
+	e      *sim.Engine
+	active []*transfer // unordered; transfer.activeIdx indexes it
+	nextID int64
+	sol    solver
 
-	// Solver version gate (see flow_v2.go): 1 solves eagerly per event,
-	// 2 coalesces all events on a timestamp into one deferred solve.
-	version    int
+	// Completion timer and the zero-delay flush timer that coalesces all
+	// events on one timestamp into a single solve.
+	timer      *sim.ReTimer
 	flushTimer *sim.ReTimer
 	flushArmed bool
 	etaHeap    []etaEntry
@@ -181,34 +181,67 @@ type Net struct {
 	TotalTransfers int64
 }
 
-// NewNet returns an empty transfer network bound to the engine, running
-// the default (v1) solver. Use NewNetVersion to opt into solver v2.
+// etaEntry is one transfer's completion instant in the ETA heap.
+type etaEntry struct {
+	at float64
+	t  *transfer
+}
+
+// NewNet returns an empty transfer network bound to the engine.
 func NewNet(e *sim.Engine) *Net {
-	n := &Net{e: e, version: 1}
+	n := &Net{e: e}
 	n.timer = e.NewReTimer(n.onTimer)
+	n.flushTimer = e.NewReTimer(n.onFlush)
+	// Seed the hot-path slices with room for a mid-sized component.
+	// Growing them organically costs a log-series of allocations per
+	// Net, and on short-lived networks (one per swept cell) that
+	// regrowth dominates the allocation profile.
+	n.active = make([]*transfer, 0, 64)
+	n.etaHeap = make([]etaEntry, 0, 64)
+	n.freeTransfers = make([]*transfer, 0, 64)
+	n.doneScratch = make([]*transfer, 0, 32)
+	n.sol.dirty = make([]*Resource, 0, 64)
+	n.sol.queue = make([]*Resource, 0, 64)
+	n.sol.flows = make([]*transfer, 0, 64)
+	n.sol.bn = make([]bnEntry, 0, 64)
 	return n
+}
+
+// NewNetVersion returns NewNet(e) for version 0 and panics with
+// *ArgumentError for any other version.
+//
+// Deprecated: the flow package has a single solver; call NewNet. This
+// name remains only because perfbench's composed runs still call it
+// with a zero version.
+func NewNetVersion(e *sim.Engine, version int) *Net {
+	if version != 0 {
+		panic(badArg("NewNetVersion", "version", "unknown flow solver version %d (only 0 remains)", version))
+	}
+	return NewNet(e)
 }
 
 // Active returns the number of in-flight transfers.
 func (n *Net) Active() int { return len(n.active) }
 
-// SetResourceCapacity changes a resource's capacity and immediately
-// reallocates rates. It is used to model disk initialization (the
-// first-write penalty disappearing) mid-simulation.
+// Sync forces any reallocation deferred by same-timestamp coalescing to
+// run now, so that Load and Utilization report the rates in effect at
+// the current simulated time. It is a no-op when nothing is pending.
+func (n *Net) Sync() {
+	if !n.flushArmed {
+		return
+	}
+	n.flushTimer.Stop()
+	n.flushArmed = false
+	n.flush()
+}
+
+// SetResourceCapacity changes a resource's capacity and reallocates
+// rates at the current timestamp. It is used to model disk
+// initialization (the first-write penalty disappearing) mid-simulation.
 func (n *Net) SetResourceCapacity(r *Resource, capacity float64) {
 	if capacity <= 0 {
 		panic(badArg("SetResourceCapacity", "capacity", "setting non-positive capacity %g on %q", capacity, r.name))
 	}
-	if n.version >= 2 {
-		r.capacity = capacity
-		if len(r.members) == 0 {
-			r.load = 0
-		}
-		n.sol.markDirty(r)
-		n.requestFlush()
-		return
-	}
-	n.advance()
 	r.capacity = capacity
 	if len(r.members) == 0 {
 		// An idle resource is skipped by the solver (which only visits
@@ -218,8 +251,7 @@ func (n *Net) SetResourceCapacity(r *Resource, capacity float64) {
 		r.load = 0
 	}
 	n.sol.markDirty(r)
-	n.sol.solve(n.active)
-	n.scheduleNext()
+	n.requestFlush()
 }
 
 // Transfer moves size bytes across the given resources, blocking p until
@@ -249,20 +281,12 @@ func (n *Net) StartTransfer(size float64, resources ...*Resource) *Pending {
 	return n.start(size, resources)
 }
 
-// start registers one validated transfer and re-solves its component
-// (v1) or marks it for the coalesced solve at this timestamp (v2).
+// start registers one validated transfer and marks it for the
+// coalesced solve at this timestamp.
 func (n *Net) start(size float64, resources []*Resource) *Pending {
 	pd := n.getPending()
-	t := n.stage(pd, size, resources)
-	if n.version >= 2 {
-		n.attach(t)
-		n.requestFlush()
-		return pd
-	}
-	n.advance()
-	n.attach(t)
-	n.sol.solve(n.active)
-	n.scheduleNext()
+	n.attach(n.stage(pd, size, resources))
+	n.requestFlush()
 	return pd
 }
 
@@ -296,8 +320,8 @@ func (n *Net) stage(pd *Pending, size float64, resources []*Resource) *transfer 
 }
 
 // attach inserts t into the graph: the active list and every crossed
-// resource's membership list (both in start order), marking the touched
-// resources dirty for the next solve.
+// resource's membership list, marking the touched resources dirty for
+// the next solve.
 func (n *Net) attach(t *transfer) {
 	n.active = append(n.active, t)
 	t.activeIdx = len(n.active) - 1
@@ -307,23 +331,33 @@ func (n *Net) attach(t *transfer) {
 	}
 }
 
-// detach removes a completed transfer from the graph, preserving member
-// order, clearing the committed loads of the resources it crossed (the
-// solver recomputes the ones that still carry traffic) and marking them
-// dirty.
+// detach removes a completed transfer from the graph: it swap-removes t
+// from the active list and from every crossed resource's membership
+// list (the solver collects component flows in discovery order, so
+// member order carries no meaning), clears those resources' committed
+// loads (the solver recomputes the ones that still carry traffic) and
+// marks them dirty.
 func (n *Net) detach(t *transfer) {
 	for _, r := range t.resources {
-		for i, m := range r.members {
+		ms := r.members
+		for i, m := range ms {
 			if m == t {
-				copy(r.members[i:], r.members[i+1:])
-				r.members[len(r.members)-1] = nil
-				r.members = r.members[:len(r.members)-1]
+				last := len(ms) - 1
+				ms[i] = ms[last]
+				ms[last] = nil
+				r.members = ms[:last]
 				break
 			}
 		}
 		r.load = 0
 		n.sol.markDirty(r)
 	}
+	i := t.activeIdx
+	last := len(n.active) - 1
+	n.active[i] = n.active[last]
+	n.active[i].activeIdx = i
+	n.active[last] = nil
+	n.active = n.active[:last]
 }
 
 // TransferCapped is Transfer with a per-flow rate ceiling, modeled as a
@@ -390,76 +424,208 @@ func (n *Net) ReleaseCap(r *Resource) {
 	n.freeCaps = append(n.freeCaps, r)
 }
 
-// advance integrates progress up to the current time.
-func (n *Net) advance() {
+// requestFlush arms the zero-delay flush timer (once per timestamp).
+// Every mutation path marks resources dirty and calls this, so a
+// pending dirty set always implies an armed flush.
+func (n *Net) requestFlush() {
+	if !n.flushArmed {
+		n.flushArmed = true
+		n.flushTimer.Arm(0)
+	}
+}
+
+func (n *Net) onFlush() {
+	n.flushArmed = false
+	n.flush()
+}
+
+// flush re-solves the component(s) reachable from the dirty set and
+// re-keys the completion ETA of every flow whose rate changed.
+//
+// A transfer's completion instant is invariant under solves that leave
+// its rate untouched: progress is linear, so now + remaining/rate is the
+// same instant the previous solve computed (bit-identical inputs give
+// bit-identical shares, so the comparison is exact, not a tolerance).
+// Only flows whose rate actually changed re-key their heap entry; on the
+// symmetric striped shapes that dominate the benchmarks, that is a
+// handful out of hundreds.
+func (n *Net) flush() {
 	now := n.e.Now()
-	dt := now - n.lastUpdate
-	n.lastUpdate = now
-	if dt <= 0 {
+	for _, t := range n.sol.solve(now, n.active) {
+		if t.rate == t.prevRate && t.etaPos >= 0 {
+			// Same rate, linear progress: the completion instant this
+			// entry already holds is still exact.
+			continue
+		}
+		n.rescheduleETA(t, now)
+	}
+	n.armNext()
+}
+
+// rescheduleETA places t's single heap entry at its completion instant:
+// due now if within completionEps of done, at the rate-projected instant
+// otherwise, and absent while starved (a starved flow gets a new ETA
+// when a later event re-solves its component).
+func (n *Net) rescheduleETA(t *transfer, now float64) {
+	switch {
+	case t.remaining <= completionEps:
+		n.etaSet(t, now)
+	case t.rate > 0:
+		n.etaSet(t, now+t.remaining/t.rate)
+	default:
+		n.etaRemove(t)
+	}
+}
+
+// armNext arms the completion timer for the earliest ETA, skipping the
+// engine round-trip when a pending timer already points at that instant.
+// With active transfers, no ETA and no pending flush, every transfer is
+// starved: resources were overcommitted by construction, which is a bug.
+func (n *Net) armNext() {
+	if len(n.etaHeap) == 0 {
+		if n.timerArmed {
+			n.timerArmed = false
+			n.timer.Stop()
+		}
+		if len(n.active) > 0 && !n.flushArmed {
+			panic("flow: all active transfers starved")
+		}
 		return
 	}
-	for _, t := range n.active {
+	at := n.etaHeap[0].at
+	if n.timerArmed && n.timerAt == at {
+		return
+	}
+	n.timer.Stop()
+	d := at - n.e.Now()
+	if d < 0 {
+		d = 0
+	}
+	n.timerArmed = true
+	n.timerAt = at
+	n.timer.Arm(d)
+}
+
+// onTimer drains every ETA due at the current time: completed
+// transfers leave the graph and resolve their handles, near-misses (the
+// entry was placed under a since-lowered remaining estimate) re-key to
+// their true instant. Departures dirty their resources, so a flush
+// follows at this same timestamp — coalesced with whatever the resumed
+// waiters start next.
+func (n *Net) onTimer() {
+	n.timerArmed = false // it just fired
+	now := n.e.Now()
+	done := n.doneScratch[:0]
+	for len(n.etaHeap) > 0 && n.etaHeap[0].at <= now {
+		t := n.etaHeap[0].t
+		integrate(t, now)
+		if t.remaining > completionEps {
+			n.rescheduleETA(t, now)
+			continue
+		}
+		n.etaRemove(t)
+		n.detach(t)
+		done = append(done, t)
+	}
+	for _, t := range done {
+		t.pending.complete()
+	}
+	if len(n.sol.dirty) > 0 {
+		n.requestFlush()
+	}
+	n.armNext()
+	for _, t := range done {
+		n.recycleTransfer(t)
+	}
+	n.doneScratch = done[:0]
+}
+
+// integrate applies t's current rate over the window since its last
+// integration. Rates are piecewise constant between solves of t's
+// component, so integrating lazily at the next touch is exact.
+func integrate(t *transfer, now float64) {
+	if dt := now - t.last; dt > 0 {
 		t.remaining -= t.rate * dt
 		if t.remaining < 0 {
 			t.remaining = 0
 		}
 	}
+	t.last = now
 }
 
-// scheduleNext arms the timer for the earliest completion.
-func (n *Net) scheduleNext() {
-	n.timer.Stop()
-	if len(n.active) == 0 {
+// Indexed ETA min-heap (keyed by at): at most one entry per transfer,
+// whose position lives on the record (transfer.etaPos, -1 when absent),
+// so a rate change re-keys in place instead of abandoning stale entries.
+// Hand-rolled to keep the hot path free of interface boxing.
+
+// etaSet inserts or re-keys t's entry at time at.
+func (n *Net) etaSet(t *transfer, at float64) {
+	if t.etaPos < 0 {
+		t.etaPos = len(n.etaHeap)
+		n.etaHeap = append(n.etaHeap, etaEntry{at: at, t: t})
+		n.etaUp(t.etaPos)
 		return
 	}
-	next := -1.0
-	for _, t := range n.active {
-		if t.remaining <= completionEps {
-			next = 0
-			break
-		}
-		if t.rate <= 0 {
-			// Starved flow: another completion will free capacity; if none
-			// exists the simulation will deadlock-panic, which is correct
-			// (it means resources were overcommitted by construction).
-			continue
-		}
-		eta := t.remaining / t.rate
-		if next < 0 || eta < next {
-			next = eta
-		}
-	}
-	if next < 0 {
-		panic("flow: all active transfers starved")
-	}
-	n.timer.Arm(next)
+	n.etaHeap[t.etaPos].at = at
+	n.etaDown(n.etaUp(t.etaPos))
 }
 
-// onTimer completes finished transfers and re-plans.
-func (n *Net) onTimer() {
-	n.advance()
-	remaining := n.active[:0]
-	done := n.doneScratch[:0]
-	for _, t := range n.active {
-		if t.remaining <= completionEps {
-			done = append(done, t)
-		} else {
-			remaining = append(remaining, t)
+// etaRemove deletes t's entry, if any.
+func (n *Net) etaRemove(t *transfer) {
+	i := t.etaPos
+	if i < 0 {
+		return
+	}
+	t.etaPos = -1
+	h := n.etaHeap
+	last := len(h) - 1
+	if i != last {
+		h[i] = h[last]
+		h[i].t.etaPos = i
+	}
+	h[last] = etaEntry{}
+	n.etaHeap = h[:last]
+	if i != last {
+		n.etaDown(n.etaUp(i))
+	}
+}
+
+// etaUp sifts the entry at i toward the root, returning its final index.
+func (n *Net) etaUp(i int) int {
+	h := n.etaHeap
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].at <= h[i].at {
+			break
 		}
+		h[p], h[i] = h[i], h[p]
+		h[p].t.etaPos = p
+		h[i].t.etaPos = i
+		i = p
 	}
-	n.active = remaining
-	for _, t := range done {
-		n.detach(t)
+	return i
+}
+
+// etaDown sifts the entry at i toward the leaves.
+func (n *Net) etaDown(i int) {
+	h := n.etaHeap
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r].at < h[l].at {
+			m = r
+		}
+		if h[i].at <= h[m].at {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		h[i].t.etaPos = i
+		h[m].t.etaPos = m
+		i = m
 	}
-	for _, t := range done {
-		t.pending.complete()
-	}
-	n.sol.solve(n.active)
-	n.scheduleNext()
-	for _, t := range done {
-		n.recycleTransfer(t)
-	}
-	n.doneScratch = done[:0]
 }
 
 // Free-list plumbing. Records are zeroed on recycle, not on reuse, so a
@@ -496,7 +662,7 @@ func (n *Net) recycleTransfer(t *transfer) {
 	t.fixed = false
 	t.last = 0
 	t.prevRate = 0
-	t.etaPos = -1 // v2 removes the heap entry before recycling
+	t.etaPos = -1 // onTimer removes the heap entry before recycling
 	t.activeIdx = 0
 	for i := range t.resources {
 		t.resources[i] = nil

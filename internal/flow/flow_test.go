@@ -485,6 +485,26 @@ func TestTransferArgumentErrors(t *testing.T) {
 	}
 }
 
+// NewNetVersion survives only for callers that still pass a zero
+// version; any other version names the argument in a typed panic.
+func TestNewNetVersionOnlyZero(t *testing.T) {
+	e := sim.NewEngine()
+	if n := NewNetVersion(e, 0); n == nil {
+		t.Fatal("NewNetVersion(e, 0) returned nil")
+	}
+	for _, v := range []int{-1, 1, 2} {
+		func() {
+			defer func() {
+				ae, ok := recover().(*ArgumentError)
+				if !ok || ae.Call != "NewNetVersion" || ae.Arg != "version" {
+					t.Errorf("NewNetVersion(e, %d): want *ArgumentError on version, got %v", v, ae)
+				}
+			}()
+			NewNetVersion(e, v)
+		}()
+	}
+}
+
 // Zero-size transfers remain a documented no-op (an empty file staged
 // through a storage backend), not an error.
 func TestZeroSizeNoResourcesStillInstant(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 	"ec2wfsim/internal/sim"
 )
 
-// BenchmarkReallocate measures the incremental solver against the
-// preserved from-scratch oracle on the two transfer-graph shapes that
-// dominate the paper's experiments:
+// BenchmarkReallocate measures the solver against the preserved
+// from-scratch oracle on the two transfer-graph shapes that dominate the
+// paper's experiments:
 //
 //   - pvfs: every logical read fans out over all servers' disks and NICs
 //     under a shared client window — one densely connected component,
@@ -21,7 +21,7 @@ import (
 //     instead of one per shard) and from the pooled records.
 //   - montage: many clients hammering one NFS server interleaved with
 //     node-local disk I/O — the local transfers form singleton components
-//     the dirty-set solver re-solves without touching the server clique.
+//     the solver re-solves without touching the server clique.
 //
 // TestEmitFlowBench (-flowbench-out) records the comparison in
 // BENCH_flow.json so the performance trajectory has data points.
@@ -125,8 +125,8 @@ func montageShape(build func(e *sim.Engine, caps []float64) flowDriver) float64 
 // reads over a 16-server stripe set (stride 61 is coprime to 1000, so
 // the 16 servers of one read are distinct and neighbouring clients'
 // stripe sets interlock into one large component). Arrivals stagger so
-// roughly a thousand transfers are concurrently active — the regime
-// STUDY_scale.md could not afford under v1, so only v2 runs it.
+// roughly a thousand transfers are concurrently active, which the oracle
+// cannot afford, so only the solver runs it.
 func scale1000Shape(build func(e *sim.Engine, caps []float64) flowDriver) float64 {
 	const (
 		nNodes   = 1000
@@ -173,34 +173,29 @@ var flowShapes = []struct {
 	{"montage", montageShape},
 }
 
-func buildIncremental(e *sim.Engine, caps []float64) flowDriver { return newRealDriver(e, caps) }
-func buildV2(e *sim.Engine, caps []float64) flowDriver          { return newRealDriverV(e, caps, 2) }
-func buildOracle(e *sim.Engine, caps []float64) flowDriver      { return newOracleDriver(e, caps) }
+func buildSolver(e *sim.Engine, caps []float64) flowDriver { return newRealDriver(e, caps) }
+func buildOracle(e *sim.Engine, caps []float64) flowDriver { return newOracleDriver(e, caps) }
 
-// TestShapesAgree pins the implementations to the same makespans on the
-// benchmark shapes, so the speedup comparison is apples to apples: v1
-// bit-identical to the oracle, v2 within its documented fp tolerance.
+// TestShapesAgree pins the solver to the oracle's makespans on the
+// benchmark shapes, within its documented fp tolerance, so the speedup
+// comparison is apples to apples.
 func TestShapesAgree(t *testing.T) {
 	t.Parallel()
 	for _, shape := range flowShapes {
-		inc := shape.run(buildIncremental)
+		got := shape.run(buildSolver)
 		orc := shape.run(buildOracle)
-		if inc != orc {
-			t.Errorf("%s: makespan diverged: incremental %v, oracle %v", shape.name, inc, orc)
-		}
-		v2 := shape.run(buildV2)
-		if !timeClose(v2, orc, 0) {
-			t.Errorf("%s: makespan diverged beyond tolerance: v2 %v, oracle %v", shape.name, v2, orc)
+		if !timeClose(got, orc, 0) {
+			t.Errorf("%s: makespan diverged beyond tolerance: solver %v, oracle %v", shape.name, got, orc)
 		}
 	}
 }
 
 // TestScale1000Smoke pins the 1000-node shape to a plausible, reproducible
-// makespan under v2 (the only mode that runs it).
+// makespan.
 func TestScale1000Smoke(t *testing.T) {
 	t.Parallel()
-	got := scale1000Shape(buildV2)
-	if again := scale1000Shape(buildV2); again != got {
+	got := scale1000Shape(buildSolver)
+	if again := scale1000Shape(buildSolver); again != got {
 		t.Fatalf("1000-node makespan not deterministic: %v vs %v", got, again)
 	}
 	// The last client arrives at 49.95s and its reads need over 5s of
@@ -211,54 +206,40 @@ func TestScale1000Smoke(t *testing.T) {
 	}
 }
 
-func BenchmarkReallocate(b *testing.B) {
-	for _, shape := range flowShapes {
-		b.Run(shape.name+"/incremental", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				shape.run(buildIncremental)
-			}
-		})
-		b.Run(shape.name+"/v2", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				shape.run(buildV2)
-			}
-		})
-		b.Run(shape.name+"/oracle", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				shape.run(buildOracle)
-			}
-		})
-	}
-	b.Run("scale1000/v2", func(b *testing.B) {
+// runShape returns a benchmark body that runs one shape per iteration.
+func runShape(shape func(build func(e *sim.Engine, caps []float64) flowDriver) float64,
+	build func(e *sim.Engine, caps []float64) flowDriver) func(b *testing.B) {
+	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scale1000Shape(buildV2)
+			shape(build)
 		}
-	})
+	}
+}
+
+func BenchmarkReallocate(b *testing.B) {
+	for _, shape := range flowShapes {
+		b.Run(shape.name+"/solver", runShape(shape.run, buildSolver))
+		b.Run(shape.name+"/oracle", runShape(shape.run, buildOracle))
+	}
+	b.Run("scale1000/solver", runShape(scale1000Shape, buildSolver))
 }
 
 var flowBenchOut = flag.String("flowbench-out", "",
-	"write BenchmarkReallocate incremental-vs-oracle results to this JSON file")
+	"write BenchmarkReallocate solver-vs-oracle results to this JSON file")
 
 // flowBenchRow is one shape's comparison in BENCH_flow.json. The scale1000
-// row is v2-only (the oracle cannot afford the shape), so its oracle and
-// speedup fields stay zero.
+// row is solver-only (the oracle cannot afford the shape), so its oracle
+// and speedup fields stay zero.
 type flowBenchRow struct {
-	Shape              string  `json:"shape"`
-	IncrementalNsOp    int64   `json:"incremental_ns_op,omitempty"`
-	V2NsOp             int64   `json:"v2_ns_op"`
-	OracleNsOp         int64   `json:"oracle_ns_op,omitempty"`
-	Speedup            float64 `json:"speedup,omitempty"`
-	V2Speedup          float64 `json:"v2_speedup,omitempty"`
-	IncrementalAllocs  int64   `json:"incremental_allocs_op,omitempty"`
-	V2Allocs           int64   `json:"v2_allocs_op"`
-	OracleAllocs       int64   `json:"oracle_allocs_op,omitempty"`
-	IncrementalBytesOp int64   `json:"incremental_bytes_op,omitempty"`
-	V2BytesOp          int64   `json:"v2_bytes_op"`
-	OracleBytesOp      int64   `json:"oracle_bytes_op,omitempty"`
+	Shape         string  `json:"shape"`
+	NsOp          int64   `json:"ns_op"`
+	OracleNsOp    int64   `json:"oracle_ns_op,omitempty"`
+	Speedup       float64 `json:"speedup,omitempty"`
+	Allocs        int64   `json:"allocs_op"`
+	OracleAllocs  int64   `json:"oracle_allocs_op,omitempty"`
+	BytesOp       int64   `json:"bytes_op"`
+	OracleBytesOp int64   `json:"oracle_bytes_op,omitempty"`
 }
 
 // benchMedian runs each measurement function five times in interleaved
@@ -298,78 +279,48 @@ func benchMedian(fs ...func(b *testing.B)) []testing.BenchmarkResult {
 // TestEmitFlowBench runs the reallocation benchmarks and records the
 // comparison. It only runs when -flowbench-out is set:
 //
-//	go test -run TestEmitFlowBench -flowbench-out ../../BENCH_flow.json ./internal/flow
+//	go test ./internal/flow -run TestEmitFlowBench -flowbench-out "$PWD/BENCH_flow.json"
 func TestEmitFlowBench(t *testing.T) {
 	if *flowBenchOut == "" {
 		t.Skip("-flowbench-out not set")
 	}
 	out := struct {
 		Benchmark string         `json:"benchmark"`
+		HostCPUs  int            `json:"host_cpus"`
 		Note      string         `json:"note"`
 		Rows      []flowBenchRow `json:"rows"`
 	}{
 		Benchmark: "BenchmarkReallocate",
-		Note: "v1 dirty-set solver and v2 coalescing heap solver vs preserved from-scratch oracle; " +
-			"median of 5 interleaved runs per mode; see internal/flow/flowbench_test.go. " +
-			"montage outcome: a bit-identical single-flow gate in solveV2 (isolated writes and " +
-			"staggered arrivals skip the bottleneck heap) narrowed v2's deficit on this low-fan-out " +
-			"shape, but its dominant cost — re-solving one small shared component per completion, " +
-			"plus the coalescing flush timer — is structural: v1 stays ahead there and remains the " +
-			"default; v2's wins are the large striped components (pvfs, scale1000).",
+		HostCPUs:  runtime.NumCPU(),
+		Note: "coalescing heap solver vs preserved from-scratch oracle; median of 5 " +
+			"interleaved runs per mode; see internal/flow/flowbench_test.go. The oracle " +
+			"cannot afford scale1000, so that row has no oracle or speedup fields.",
 	}
 	for _, shape := range flowShapes {
-		med := benchMedian(
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					shape.run(buildIncremental)
-				}
-			},
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					shape.run(buildV2)
-				}
-			},
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					shape.run(buildOracle)
-				}
-			},
-		)
-		inc, v2, orc := med[0], med[1], med[2]
+		med := benchMedian(runShape(shape.run, buildSolver), runShape(shape.run, buildOracle))
+		sol, orc := med[0], med[1]
 		row := flowBenchRow{
-			Shape:              shape.name,
-			IncrementalNsOp:    inc.NsPerOp(),
-			V2NsOp:             v2.NsPerOp(),
-			OracleNsOp:         orc.NsPerOp(),
-			Speedup:            float64(orc.NsPerOp()) / float64(inc.NsPerOp()),
-			V2Speedup:          float64(orc.NsPerOp()) / float64(v2.NsPerOp()),
-			IncrementalAllocs:  inc.AllocsPerOp(),
-			V2Allocs:           v2.AllocsPerOp(),
-			OracleAllocs:       orc.AllocsPerOp(),
-			IncrementalBytesOp: inc.AllocedBytesPerOp(),
-			V2BytesOp:          v2.AllocedBytesPerOp(),
-			OracleBytesOp:      orc.AllocedBytesPerOp(),
+			Shape:         shape.name,
+			NsOp:          sol.NsPerOp(),
+			OracleNsOp:    orc.NsPerOp(),
+			Speedup:       float64(orc.NsPerOp()) / float64(sol.NsPerOp()),
+			Allocs:        sol.AllocsPerOp(),
+			OracleAllocs:  orc.AllocsPerOp(),
+			BytesOp:       sol.AllocedBytesPerOp(),
+			OracleBytesOp: orc.AllocedBytesPerOp(),
 		}
 		out.Rows = append(out.Rows, row)
-		t.Logf("%s: v1 %d ns/op (%.2fx), v2 %d ns/op (%.2fx), oracle %d ns/op",
-			row.Shape, row.IncrementalNsOp, row.Speedup, row.V2NsOp, row.V2Speedup, row.OracleNsOp)
+		t.Logf("%s: solver %d ns/op (%.2fx), oracle %d ns/op",
+			row.Shape, row.NsOp, row.Speedup, row.OracleNsOp)
 	}
-	s1000 := benchMedian(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scale1000Shape(buildV2)
-		}
-	})[0]
+	s1000 := benchMedian(runShape(scale1000Shape, buildSolver))[0]
 	out.Rows = append(out.Rows, flowBenchRow{
-		Shape:     "scale1000",
-		V2NsOp:    s1000.NsPerOp(),
-		V2Allocs:  s1000.AllocsPerOp(),
-		V2BytesOp: s1000.AllocedBytesPerOp(),
+		Shape:   "scale1000",
+		NsOp:    s1000.NsPerOp(),
+		Allocs:  s1000.AllocsPerOp(),
+		BytesOp: s1000.AllocedBytesPerOp(),
 	})
-	t.Logf("scale1000: v2 %d ns/op (%d allocs)", s1000.NsPerOp(), s1000.AllocsPerOp())
+	t.Logf("scale1000: solver %d ns/op (%d allocs)", s1000.NsPerOp(), s1000.AllocsPerOp())
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)

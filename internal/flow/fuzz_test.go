@@ -7,25 +7,19 @@ import (
 	"ec2wfsim/internal/sim"
 )
 
-// FuzzReallocate is the solvers' correctness rail: it decodes a random
+// FuzzReallocate is the solver's correctness rail: it decodes a random
 // event script (blocking transfers, batched fan-outs with pooled window
 // caps, capacity changes, load probes, all at fuzzed times over a fuzzed
 // resource set) and drives it through the from-scratch oracle preserved
-// in oracle_test.go and both versioned solvers. The comparison is
-// three-way with two distinct contracts:
-//
-//   - oracle ≡ v1, bit for bit: every completion timestamp, every probed
-//     load, the final clock and the byte totals — the same discipline the
-//     golden file enforces at paper scale.
-//
-//   - oracle ≈ v2, within a stated per-timestamp tolerance: v2's
-//     coalesced solves and heap tie-breaks reorder float arithmetic, and
-//     its per-component completion checks can resolve a transfer that is
-//     within completionEps of done up to "the time the fair share moves
-//     half a byte" away from where v1's global sweep resolves it (see
-//     script.timeSlack). Conservation is still exact: identical byte and
-//     transfer totals, every op completes on both sides, and every
-//     resource drains to exactly zero residual load.
+// in oracle_test.go and through the solver. The contract is oracle ≈
+// solver, within a stated per-timestamp tolerance: the solver's
+// coalesced solves and heap tie-breaks reorder float arithmetic, and its
+// per-component completion checks can resolve a transfer that is within
+// completionEps of done up to "the time the fair share moves half a
+// byte" away from where the oracle's global sweep resolves it (see
+// script.timeSlack). Conservation is exact: identical byte and transfer
+// totals, every op completes on both sides, and every resource drains
+// to exactly zero residual load.
 
 // script is one decoded fuzz scenario.
 type script struct {
@@ -106,7 +100,7 @@ func decodeScript(data []byte) *script {
 
 // expectedTotals computes the byte and transfer totals the script must
 // produce from the script alone (sizes are exact binary quarters, so the
-// sum is exact): the oracle-free conservation anchor for v2.
+// sum is exact): the oracle-free conservation anchor.
 func (s *script) expectedTotals() (bytes float64, count int64) {
 	for _, op := range s.ops {
 		switch op.kind {
@@ -121,11 +115,11 @@ func (s *script) expectedTotals() (bytes float64, count int64) {
 	return bytes, count
 }
 
-// timeSlack bounds how far a v2 completion timestamp may drift from the
-// oracle's. Both modes complete a transfer somewhere inside the window
-// where under completionEps bytes remain; v1 resolves it at the first
-// global timer event in that window, v2 at the first event touching its
-// component. The window lasts at most completionEps divided by the
+// timeSlack bounds how far a solver completion timestamp may drift from
+// the oracle's. Both complete a transfer somewhere inside the window
+// where under completionEps bytes remain; the oracle resolves it at the
+// first global timer event in that window, the solver at the first event
+// touching its component. The window lasts at most completionEps divided by the
 // slowest possible fair share (every transfer contending on the smallest
 // capacity in the script), and a drifted departure perturbs its
 // neighbours' rates for at most that long again — hence the small
@@ -159,8 +153,8 @@ func (s *script) timeSlack() float64 {
 	return 4 * completionEps * float64(n) / minCap
 }
 
-// trace is everything a run observes; same-version runs compare traces
-// bit-exactly, cross-version runs per the contracts above.
+// trace is everything a run observes; runs of one implementation compare
+// traces bit-exactly, solver against oracle per the contract above.
 type trace struct {
 	completions []float64 // per transfer/fan-out op, completion time
 	probes      []float64 // per probe op, active count then per-resource loads
@@ -190,10 +184,6 @@ type realDriver struct {
 	pickBuf []*Resource
 }
 
-func newRealDriver(e *sim.Engine, caps []float64) *realDriver {
-	return newRealDriverV(e, caps, 1)
-}
-
 // resNames is precomputed so the benchmark shapes do not charge a
 // Sprintf per resource per iteration to both drivers' setup (a constant
 // added to each mode's ns/op that dilutes their ratio). Sized for the
@@ -214,8 +204,8 @@ func resName(i int) string {
 	return fmt.Sprintf("r%d", i)
 }
 
-func newRealDriverV(e *sim.Engine, caps []float64, version int) *realDriver {
-	d := &realDriver{n: NewNetVersion(e, version), rs: make([]*Resource, 0, len(caps))}
+func newRealDriver(e *sim.Engine, caps []float64) *realDriver {
+	d := &realDriver{n: NewNet(e), rs: make([]*Resource, 0, len(caps))}
 	for i, c := range caps {
 		d.rs = append(d.rs, NewResource(resName(i), c))
 	}
@@ -258,7 +248,7 @@ func (d *realDriver) fanout(p *sim.Proc, size float64, shards [][]int, capRate f
 func (d *realDriver) setCapacity(idx int, c float64) { d.n.SetResourceCapacity(d.rs[idx], c) }
 
 // load and activeCount Sync first so probes observe the rates in effect
-// at the probe's own timestamp under v2's deferred solves (a no-op on v1).
+// at the probe's own timestamp under the solver's deferred solves.
 func (d *realDriver) load(idx int) float64     { d.n.Sync(); return d.rs[idx].Load() }
 func (d *realDriver) activeCount() int         { d.n.Sync(); return d.n.Active() }
 func (d *realDriver) totals() (float64, int64) { return d.n.TotalBytes, d.n.TotalTransfers }
@@ -369,27 +359,26 @@ func FuzzReallocate(f *testing.F) {
 	f.Add([]byte{1, 1, 4, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeScript(data)
-		want := runScript(s, func(e *sim.Engine, caps []float64) flowDriver { return newOracleDriver(e, caps) })
-		v1 := runScript(s, func(e *sim.Engine, caps []float64) flowDriver { return newRealDriverV(e, caps, 1) })
-		compareExact(t, "incremental", v1, want, s)
-		v2 := runScript(s, func(e *sim.Engine, caps []float64) flowDriver { return newRealDriverV(e, caps, 2) })
-		compareV2(t, v2, want, s)
+		want := runScript(s, buildOracle)
+		got := runScript(s, buildSolver)
+		compareOracle(t, got, want, s)
 	})
 }
 
-// compareExact is the v1 contract: bit-identical to the oracle.
+// compareExact requires two traces to be bit-identical; want is the
+// reference run.
 func compareExact(t *testing.T, label string, got, want *trace, s *script) {
 	t.Helper()
 	if got.end != want.end {
-		t.Fatalf("makespan diverged: %s %v, oracle %v", label, got.end, want.end)
+		t.Fatalf("makespan diverged: %s %v, reference %v", label, got.end, want.end)
 	}
 	if got.totalBytes != want.totalBytes || got.totalCount != want.totalCount {
-		t.Fatalf("totals diverged: %s (%v, %d), oracle (%v, %d)",
+		t.Fatalf("totals diverged: %s (%v, %d), reference (%v, %d)",
 			label, got.totalBytes, got.totalCount, want.totalBytes, want.totalCount)
 	}
 	for i := range got.completions {
 		if got.completions[i] != want.completions[i] {
-			t.Fatalf("op %d completion diverged: %s %v, oracle %v (script %+v)",
+			t.Fatalf("op %d completion diverged: %s %v, reference %v (script %+v)",
 				i, label, got.completions[i], want.completions[i], s.ops[i])
 		}
 	}
@@ -398,17 +387,17 @@ func compareExact(t *testing.T, label string, got, want *trace, s *script) {
 	}
 	for i := range got.probes {
 		if got.probes[i] != want.probes[i] {
-			t.Fatalf("probe %d diverged: %s %v, oracle %v", i, label, got.probes[i], want.probes[i])
+			t.Fatalf("probe %d diverged: %s %v, reference %v", i, label, got.probes[i], want.probes[i])
 		}
 	}
 	for i := range got.finalLoads {
 		if got.finalLoads[i] != want.finalLoads[i] {
-			t.Fatalf("final load of r%d diverged: %s %v, oracle %v", i, label, got.finalLoads[i], want.finalLoads[i])
+			t.Fatalf("final load of r%d diverged: %s %v, reference %v", i, label, got.finalLoads[i], want.finalLoads[i])
 		}
 	}
 }
 
-// timeClose is the v2 per-timestamp tolerance: float-noise relative error
+// timeClose is the per-timestamp tolerance: float-noise relative error
 // from reordered arithmetic, plus the script's completion-window slack.
 func timeClose(a, b, slack float64) bool {
 	diff := a - b
@@ -422,25 +411,26 @@ func timeClose(a, b, slack float64) bool {
 	return diff <= slack+1e-9*(1+scale)
 }
 
-// compareV2 is the v2 contract: timestamps within tolerance, exact
-// conservation (totals, completion coverage, drained final loads).
-func compareV2(t *testing.T, got, want *trace, s *script) {
+// compareOracle is the solver's contract against the oracle: timestamps
+// within tolerance, exact conservation (totals, completion coverage,
+// drained final loads).
+func compareOracle(t *testing.T, got, want *trace, s *script) {
 	t.Helper()
 	slack := s.timeSlack()
 	if !timeClose(got.end, want.end, slack) {
-		t.Fatalf("makespan diverged beyond slack %g: v2 %v, oracle %v", slack, got.end, want.end)
+		t.Fatalf("makespan diverged beyond slack %g: solver %v, oracle %v", slack, got.end, want.end)
 	}
 	if got.totalBytes != want.totalBytes || got.totalCount != want.totalCount {
-		t.Fatalf("totals diverged: v2 (%v, %d), oracle (%v, %d)",
+		t.Fatalf("totals diverged: solver (%v, %d), oracle (%v, %d)",
 			got.totalBytes, got.totalCount, want.totalBytes, want.totalCount)
 	}
 	for i := range got.completions {
 		a, b := got.completions[i], want.completions[i]
 		if (a < 0) != (b < 0) {
-			t.Fatalf("op %d completed on one side only: v2 %v, oracle %v", i, a, b)
+			t.Fatalf("op %d completed on one side only: solver %v, oracle %v", i, a, b)
 		}
 		if a >= 0 && !timeClose(a, b, slack) {
-			t.Fatalf("op %d completion diverged beyond slack %g: v2 %v, oracle %v (script %+v)",
+			t.Fatalf("op %d completion diverged beyond slack %g: solver %v, oracle %v (script %+v)",
 				i, slack, a, b, s.ops[i])
 		}
 	}
@@ -458,38 +448,37 @@ func compareV2(t *testing.T, got, want *trace, s *script) {
 		}
 		for k := 1; k < stride; k++ {
 			if !timeClose(got.probes[p+k], want.probes[p+k], 0) {
-				t.Fatalf("probe %d load r%d diverged: v2 %v, oracle %v",
+				t.Fatalf("probe %d load r%d diverged: solver %v, oracle %v",
 					p/stride, k-1, got.probes[p+k], want.probes[p+k])
 			}
 		}
 	}
 	for i, ld := range got.finalLoads {
 		if ld != 0 {
-			t.Fatalf("v2 left residual load %g on r%d after the run drained, want exactly 0", ld, i)
+			t.Fatalf("solver left residual load %g on r%d after the run drained, want exactly 0", ld, i)
 		}
 	}
 }
 
-// FuzzV2Invariants is the oracle-free v2 rail, cheap enough for a CI
-// smoke: the same script space, run only on v2, checking what must hold
+// FuzzInvariants is the oracle-free rail, cheap enough for a CI smoke:
+// the same script space, run only on the solver, checking what must hold
 // without reference to any other implementation — byte/transfer totals
 // computed from the script, every transfer op completing no earlier than
 // it started, a fully drained graph, and bit-identical determinism
 // across two runs.
-func FuzzV2Invariants(f *testing.F) {
+func FuzzInvariants(f *testing.F) {
 	f.Add([]byte{3, 10, 200, 50, 8, 0, 0, 1, 3, 0, 1, 2, 7, 100, 4, 2, 0, 40, 0, 3})
 	f.Add([]byte{2, 90, 90, 6, 0, 1, 80, 3, 3, 3, 1, 0, 2, 1, 7, 0, 3})
 	f.Add([]byte{5, 5, 255, 120, 60, 30, 12, 8, 1, 200, 2, 31, 31, 1, 99, 0, 0, 1, 3, 3, 2, 4, 250})
 	f.Add([]byte{1, 1, 4, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeScript(data)
-		build := func(e *sim.Engine, caps []float64) flowDriver { return newRealDriverV(e, caps, 2) }
-		got := runScript(s, build)
-		again := runScript(s, build)
+		got := runScript(s, buildSolver)
+		again := runScript(s, buildSolver)
 		compareExact(t, "re-run", again, got, s)
 		wantBytes, wantCount := s.expectedTotals()
 		if got.totalBytes != wantBytes || got.totalCount != wantCount {
-			t.Fatalf("totals diverged from script: v2 (%v, %d), script (%v, %d)",
+			t.Fatalf("totals diverged from script: solver (%v, %d), script (%v, %d)",
 				got.totalBytes, got.totalCount, wantBytes, wantCount)
 		}
 		for i, op := range s.ops {

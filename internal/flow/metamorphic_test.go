@@ -1,13 +1,12 @@
 package flow
 
 import (
-	"fmt"
 	"testing"
 
 	"ec2wfsim/internal/sim"
 )
 
-// Metamorphic properties of the solvers: transformations of a scenario
+// Metamorphic properties of the solver: transformations of a scenario
 // that must not change what it computes. Unlike the differential fuzzer
 // (which compares implementations on one input), these compare one
 // implementation against itself on equivalent inputs — they hold even
@@ -22,9 +21,8 @@ import (
 //     intermediate value and then to its final value within one process
 //     turn is indistinguishable from setting the final value once — no
 //     simulated time passes in between, so no bytes flow under the
-//     intermediate rate. This must hold bit-for-bit on both solvers: v2
-//     coalesces the two updates into one flush, and v1's interleaved
-//     solve integrates over a zero-length interval.
+//     intermediate rate. This must hold bit-for-bit: the solver
+//     coalesces the two updates into one flush.
 
 // permResult is the observable outcome of one permuted run.
 type permResult struct {
@@ -40,7 +38,7 @@ type permResult struct {
 // each read is staged k'th where perm rotates the batch order. The
 // logical topology — which transfers cross which resources — is
 // identical for every perm.
-func runPermuted(version int, perm []int) permResult {
+func runPermuted(perm []int) permResult {
 	const (
 		nServers = 4
 		nClients = 3
@@ -66,7 +64,7 @@ func runPermuted(version int, perm []int) permResult {
 		caps[s] = logicalCaps[logical]
 	}
 	e := sim.NewEngine()
-	d := newRealDriverV(e, caps, version)
+	d := newRealDriver(e, caps)
 	for c := 0; c < nClients; c++ {
 		c := c
 		shards := make([][]int, nServers)
@@ -94,8 +92,7 @@ func runPermuted(version int, perm []int) permResult {
 }
 
 // TestPermutationInvariance checks that permuting registration order
-// changes nothing observable beyond float noise, on both solver
-// versions.
+// changes nothing observable beyond float noise.
 func TestPermutationInvariance(t *testing.T) {
 	t.Parallel()
 	const nRes = 2*4 + 3
@@ -111,27 +108,21 @@ func TestPermutationInvariance(t *testing.T) {
 	// each completion can land completionEps of bytes early, and those
 	// bytes drain at no less than the slowest capacity in the graph.
 	const slack = 4 * completionEps * (3 * 2 * 4) / 30e6
-	for _, version := range []int{1, 2} {
-		version := version
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			t.Parallel()
-			base := runPermuted(version, identity)
-			for name, perm := range map[string][]int{"reversed": reversed, "rotated": rotated} {
-				got := runPermuted(version, perm)
-				if !timeClose(got.end, base.end, slack) {
-					t.Errorf("%s: makespan diverged beyond tolerance: %v vs identity %v", name, got.end, base.end)
-				}
-				if got.totalBytes != base.totalBytes || got.totalCount != base.totalCount {
-					t.Errorf("%s: totals diverged: (%v, %d) vs identity (%v, %d)",
-						name, got.totalBytes, got.totalCount, base.totalBytes, base.totalCount)
-				}
-				for i, ld := range got.finalLoads {
-					if ld != 0 {
-						t.Errorf("%s: residual load %g on logical resource %d after drain", name, ld, i)
-					}
-				}
+	base := runPermuted(identity)
+	for name, perm := range map[string][]int{"reversed": reversed, "rotated": rotated} {
+		got := runPermuted(perm)
+		if !timeClose(got.end, base.end, slack) {
+			t.Errorf("%s: makespan diverged beyond tolerance: %v vs identity %v", name, got.end, base.end)
+		}
+		if got.totalBytes != base.totalBytes || got.totalCount != base.totalCount {
+			t.Errorf("%s: totals diverged: (%v, %d) vs identity (%v, %d)",
+				name, got.totalBytes, got.totalCount, base.totalBytes, base.totalCount)
+		}
+		for i, ld := range got.finalLoads {
+			if ld != 0 {
+				t.Errorf("%s: residual load %g on logical resource %d after drain", name, ld, i)
 			}
-		})
+		}
 	}
 }
 
@@ -139,9 +130,9 @@ func TestPermutationInvariance(t *testing.T) {
 // capacity is changed at t=1: in one step when mids is empty, or through
 // the given intermediate values first — all within the same process
 // turn, so no simulated time separates the steps.
-func runSplitCapacity(version int, mids []float64) *trace {
+func runSplitCapacity(mids []float64) *trace {
 	e := sim.NewEngine()
-	d := newRealDriverV(e, []float64{100e6, 80e6, 80e6}, version)
+	d := newRealDriver(e, []float64{100e6, 80e6, 80e6})
 	tr := &trace{completions: make([]float64, 2)}
 	for i := 0; i < 2; i++ {
 		i := i
@@ -165,18 +156,12 @@ func runSplitCapacity(version int, mids []float64) *trace {
 	return tr
 }
 
-// TestCapacityChangeSplittingInvariance checks, on both solver versions,
-// that splitting a same-instant capacity change through intermediate
-// values is bit-identical to applying the final value directly.
+// TestCapacityChangeSplittingInvariance checks that splitting a
+// same-instant capacity change through intermediate values is
+// bit-identical to applying the final value directly.
 func TestCapacityChangeSplittingInvariance(t *testing.T) {
 	t.Parallel()
-	for _, version := range []int{1, 2} {
-		version := version
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			t.Parallel()
-			direct := runSplitCapacity(version, nil)
-			split := runSplitCapacity(version, []float64{90e6, 10e6})
-			compareExact(t, "split", split, direct, &script{ops: make([]scriptOp, 2)})
-		})
-	}
+	direct := runSplitCapacity(nil)
+	split := runSplitCapacity([]float64{90e6, 10e6})
+	compareExact(t, "split", split, direct, &script{ops: make([]scriptOp, 2)})
 }

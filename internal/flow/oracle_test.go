@@ -10,10 +10,10 @@ import (
 // as a self-contained oracle: a Net that recomputes the max-min fair rate
 // of every active transfer on every event (transfer start, finish,
 // capacity change), exactly as the shipping implementation did before the
-// incremental dirty-set solver replaced it. The differential fuzzer
+// incremental solver replaced it. The differential fuzzer
 // (FuzzReallocate) and BenchmarkReallocate drive identical event
-// sequences through this oracle and the real Net and require bit-equal
-// timestamps and loads.
+// sequences through this oracle and the real Net and hold the real Net
+// to the tolerance contract documented on FuzzReallocate.
 //
 // The code is the historical implementation verbatim apart from renames
 // (oracle* prefixes) and the removal of the stats the comparison does not

@@ -9,38 +9,49 @@ package flow
 //
 // Correctness of the restriction: water-filling decomposes over connected
 // components — fixing a flow changes only the residuals and counts of the
-// resources that flow crosses, so components evolve independently, and the
-// rate of every flow in an untouched component is reproduced bit-for-bit
-// by its previous solve (same members, same capacities, same order, same
-// float operations). The component solve below performs exactly the
-// arithmetic the historical from-scratch pass (kept as the oracle in the
-// test tree) performs for that component: flows are visited in active
-// (start) order, resources in first-seen order, bottleneck ties break to
-// the earlier resource, and loads accumulate in fix order — so every
-// simulated timestamp is bit-identical to a full recompute.
+// resources that flow crosses, so components evolve independently, and
+// every share derives from a resource's own residual and count. The
+// from-scratch pass kept as the oracle in the test tree is the reference:
+// the solver matches it within the tolerance contract documented in
+// fuzz_test.go (deferred same-timestamp solves and lazy integration
+// reorder float accumulation, never the model).
 //
-// All scratch (BFS queue, component flow/resource lists, dirty set) lives
-// on the solver and is reused across events; visit marks are epoch
-// counters on the graph nodes, so nothing is cleared or allocated in the
-// steady state.
+// Progressive filling pops the bottleneck resource from a lazy min-heap
+// keyed by residual/count rather than rescanning every component
+// resource per round. The heap is lazy in the standard sense: during
+// progressive filling a resource's fair share residual/count only rises
+// as flows are fixed (fixing at share s <= residual/count implies the new
+// share (residual-s)/(count-1) >= residual/count), so a stale heap entry
+// is always stale-low. Popping the minimum entry and recomputing its
+// current share is therefore sound: if the share rose, requeue it; if it
+// is unchanged, every other entry's current share is at least its stored
+// key — so this resource is a true bottleneck and its unfixed members are
+// fixed at that share.
+//
+// All scratch (BFS queue, component flow list, bottleneck heap, dirty
+// set) lives on the solver and is reused across events; visit marks are
+// epoch counters on the graph nodes, so nothing is cleared or allocated
+// in the steady state.
 type solver struct {
-	// epoch is the visit-mark generation; it advances twice per solve
-	// (once for the BFS, once for the component reset) and never wraps
-	// in practice (int64 at two bumps per simulation event).
+	// epoch is the visit-mark generation; it advances once per solve and
+	// never wraps in practice (int64 at one bump per simulation event).
 	epoch int64
 
 	// dirty lists resources touched since the last solve (deduplicated
 	// via Resource.dirty).
 	dirty []*Resource
 
-	// Reusable scratch: BFS queue, component flows in active order,
-	// component resources in first-seen order.
+	// Reusable scratch: BFS queue, component flows in discovery order,
+	// bottleneck heap.
 	queue []*Resource
 	flows []*transfer
-	res   []*Resource
+	bn    []bnEntry
+}
 
-	// bn is solveV2's bottleneck-heap scratch (unused by v1).
-	bn []bnEntry
+// bnEntry is one resource's fair-share key in the bottleneck heap.
+type bnEntry struct {
+	share float64
+	r     *Resource
 }
 
 // markDirty adds r to the dirty set for the next solve.
@@ -52,128 +63,216 @@ func (s *solver) markDirty(r *Resource) {
 }
 
 // solve recomputes max-min fair rates for every transfer connected to a
-// dirty resource, leaving all other transfers (and their resources'
-// committed loads) untouched. active must be the full active list in
-// start order; it is scanned once to keep component flows in exactly the
-// order the from-scratch pass would visit them.
-func (s *solver) solve(active []*transfer) {
+// dirty resource, integrating each one's progress up to now under its
+// outgoing rate first, and leaves all other transfers (and their
+// resources' committed loads) untouched. Flows are collected in a single
+// pass that discovers, integrates and resets the affected subgraph, then
+// rates come from heap-driven progressive filling. A sparse dirty set
+// is chased by BFS over member lists, while a dense one — the usual
+// case when a striped fan-out completes and its successor starts in the
+// same instant — takes one contiguous sweep of the active list instead.
+// Sweeping flows whose component is actually clean is harmless:
+// progressive filling never mixes arithmetic across components (every
+// share derives from a resource's own residual and count), so clean
+// components re-solve to their previous rates bit-for-bit and the ETA
+// re-key skip drops them untouched. It returns the affected flows so
+// the caller can re-key their ETAs; the slice is solver scratch, valid
+// only until the next solve.
+func (s *solver) solve(now float64, active []*transfer) []*transfer {
 	if len(s.dirty) == 0 {
-		return
+		return nil
 	}
-	// Phase 1: BFS over the bipartite graph from the dirty resources to
-	// find the affected component(s).
 	s.epoch++
 	ep := s.epoch
 	queue := s.queue[:0]
+	flows := s.flows[:0]
+	h := s.bn[:0]
+	// Reset every dirty resource. The unfixed count starts at the full
+	// membership — members holds exactly the active transfers crossing
+	// the resource, all of them in the affected subgraph by definition —
+	// so incidences need not be counted during the walk, and the fill
+	// key residual/count is already final here: resources join the
+	// bottleneck heap at discovery.
+	m := 0
 	for _, r := range s.dirty {
 		r.dirty = false
 		if r.visit != ep {
 			r.visit = ep
+			r.residual = r.capacity
+			r.count = len(r.members)
+			r.load = 0
+			m += r.count
 			queue = append(queue, r)
+			if r.count > 0 {
+				h = append(h, bnEntry{share: r.residual / float64(r.count), r: r})
+			}
 		}
 	}
 	s.dirty = s.dirty[:0]
-	touched := 0
-	for i := 0; i < len(queue); i++ {
-		for _, t := range queue[i].members {
-			if t.visit == ep {
-				continue
-			}
-			t.visit = ep
-			touched++
+	if m >= len(active) {
+		// Dense sweep. No visit-marking of transfers: the active list
+		// holds each exactly once.
+		for _, t := range active {
+			// Integrate under the outgoing rate before it is replaced.
+			integrate(t, now)
+			t.fixed = false
+			t.prevRate = t.rate
+			flows = append(flows, t)
 			for _, r := range t.resources {
 				if r.visit != ep {
 					r.visit = ep
-					queue = append(queue, r)
+					r.residual = r.capacity
+					r.count = len(r.members)
+					r.load = 0
+					h = append(h, bnEntry{share: r.residual / float64(r.count), r: r})
+				}
+			}
+		}
+	} else {
+		for i := 0; i < len(queue); i++ {
+			for _, t := range queue[i].members {
+				if t.visit == ep {
+					continue
+				}
+				t.visit = ep
+				// Integrate under the outgoing rate before it is replaced.
+				integrate(t, now)
+				t.fixed = false
+				t.prevRate = t.rate
+				flows = append(flows, t)
+				for _, r := range t.resources {
+					if r.visit != ep {
+						r.visit = ep
+						r.residual = r.capacity
+						r.count = len(r.members)
+						r.load = 0
+						queue = append(queue, r)
+						h = append(h, bnEntry{share: r.residual / float64(r.count), r: r})
+					}
 				}
 			}
 		}
 	}
-	s.queue = queue[:0]
-	if touched == 0 {
-		// Dirty resources with no active flows (a drained resource's
-		// capacity change, a finished transfer's last resource): loads
-		// were already cleared by the caller; nothing to solve.
-		return
-	}
-	// Phase 2: collect the component's flows in active order — the order
-	// the from-scratch pass fixes them in.
-	flows := s.flows[:0]
-	if touched == len(active) {
-		flows = append(flows, active...)
-	} else {
-		for _, t := range active {
-			if t.visit == ep {
-				flows = append(flows, t)
-			}
-		}
-	}
-	// Phase 3: reset the component's resources in first-seen order and
-	// count their member flows. A resource's members are all inside the
-	// component (components are closed over membership), so count is
-	// simply accumulated per incidence, as the from-scratch pass does.
-	s.epoch++
-	ep = s.epoch
-	res := s.res[:0]
-	for _, t := range flows {
-		t.fixed = false
-		t.rate = 0
-		for _, r := range t.resources {
-			if r.visit != ep {
-				r.visit = ep
-				r.residual = r.capacity
-				r.count = 0
-				r.load = 0
-				res = append(res, r)
-			}
-			r.count++
-		}
-	}
-	// Phase 4: progressive filling, arithmetic identical to the
-	// from-scratch pass restricted to this component. Each round walks
-	// only the bottleneck's own membership list, and resources with no
-	// unfixed flows left are compacted out.
 	unfixed := len(flows)
-	resources := res
-	for unfixed > 0 {
-		var bottleneck *Resource
-		bestShare := 0.0
-		liveRes := resources[:0]
-		for _, r := range resources {
-			if r.count <= 0 {
-				continue
-			}
-			liveRes = append(liveRes, r)
-			share := r.residual / float64(r.count)
-			if bottleneck == nil || share < bestShare {
-				bottleneck = r
-				bestShare = share
+	if unfixed == 1 && len(h) > 0 {
+		// Low-fan-out gate: a single-flow component — an isolated write,
+		// a staggered first arrival — needs no bottleneck heap. The heap
+		// would heapify every entry, pop the minimum and fix the flow at
+		// cur = residual/count recomputed from untouched values, i.e. at
+		// exactly the minimum share key; a direct min scan performs the
+		// same division on the same operands, so the rate is bit-identical
+		// (on ties the popped entry could differ, the share value cannot).
+		t := flows[0]
+		cur := h[0].share
+		for _, e := range h[1:] {
+			if e.share < cur {
+				cur = e.share
 			}
 		}
-		resources = liveRes
-		if bottleneck == nil {
+		if cur < 0 {
+			cur = 0
+		}
+		t.rate = cur
+		t.fixed = true
+		for _, rr := range t.resources {
+			rr.residual -= cur
+			if rr.residual < 0 {
+				rr.residual = 0
+			}
+			rr.count--
+			rr.load += cur
+		}
+		s.bn = h[:0]
+		s.queue = queue[:0]
+		s.flows = flows
+		return flows
+	}
+	// Entries were appended unordered; Floyd-heapify bottom-up in O(n).
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		bnDown(h, i)
+	}
+	for unfixed > 0 {
+		if len(h) == 0 {
 			panic("flow: unfixed transfers with no remaining resources")
 		}
-		if bestShare < 0 {
-			bestShare = 0
+		e := h[0]
+		h = bnPop(h)
+		r := e.r
+		if r.count <= 0 {
+			continue
 		}
-		for _, t := range bottleneck.members {
+		cur := r.residual / float64(r.count)
+		if cur > e.share {
+			// Stale-low entry: shares only rise as flows are fixed.
+			h = bnPush(h, bnEntry{share: cur, r: r})
+			continue
+		}
+		if cur < 0 {
+			cur = 0
+		}
+		for _, t := range r.members {
 			if t.fixed {
 				continue
 			}
-			t.rate = bestShare
+			t.rate = cur
 			t.fixed = true
 			unfixed--
-			for _, r := range t.resources {
-				r.residual -= bestShare
-				if r.residual < 0 {
-					r.residual = 0
+			for _, rr := range t.resources {
+				rr.residual -= cur
+				if rr.residual < 0 {
+					rr.residual = 0
 				}
-				r.count--
-				r.load += bestShare
+				rr.count--
+				rr.load += cur
 			}
 		}
 	}
-	s.flows = flows[:0]
-	s.res = res[:0]
+	s.bn = h[:0]
+	s.queue = queue[:0]
+	s.flows = flows
+	return flows
+}
+
+// Bottleneck min-heap (keyed by share), lazy: a resource may appear
+// more than once, with stale-low keys resolved at pop time.
+
+func bnPush(h []bnEntry, e bnEntry) []bnEntry {
+	h = append(h, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].share <= h[i].share {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+func bnPop(h []bnEntry) []bnEntry {
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = bnEntry{}
+	h = h[:last]
+	bnDown(h, 0)
+	return h
+}
+
+func bnDown(h []bnEntry, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r].share < h[l].share {
+			m = r
+		}
+		if h[i].share <= h[m].share {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

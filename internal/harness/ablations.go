@@ -69,13 +69,10 @@ func AblationSweep(name string, opt SweepOptions) ([]AblationResult, string, err
 	if name == "scale" || name == "scale1000" {
 		// The large-matrix scale study: cluster sizes beyond the paper's
 		// 8 nodes, paired against the 8-node baseline; honours opt.Seeds.
-		// The scale1000 variant jumps straight to 1000 nodes and pins the
-		// v2 coalescing flow solver — at that fan-out the v1 dirty-set
-		// solver is what makes the matrix unaffordable.
+		// The scale1000 variant jumps straight to 1000 nodes.
 		sopt := ScaleStudyOptions{Sweep: opt}
 		if name == "scale1000" {
 			sopt.Sizes = []int{8, 1000}
-			sopt.FlowVersion = 2
 		}
 		cells, out, err := ScaleStudy(sopt)
 		if err != nil {

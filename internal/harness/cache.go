@@ -44,10 +44,10 @@ type cacheRow struct {
 
 // CacheKey derives the persistent-store key for a configuration:
 // the canonical scenario key of the effective spec (replicates carry
-// their reseeded spec, so every replicate is its own entry), the
-// effective seed, and the normalized flow-solver version. Custom
-// in-memory workflows are not keyable — the DAG is not part of the
-// spec — so those configurations never touch the store.
+// their reseeded spec, so every replicate is its own entry) and the
+// effective seed. Custom in-memory workflows are not keyable — the DAG
+// is not part of the spec — so those configurations never touch the
+// store.
 func CacheKey(cfg RunConfig) (resultcache.Key, bool) {
 	if cfg.Workflow != nil {
 		return resultcache.Key{}, false
@@ -57,7 +57,7 @@ func CacheKey(cfg RunConfig) (resultcache.Key, bool) {
 	if seed == 0 {
 		seed = DefaultSeed
 	}
-	return resultcache.Key{Cell: scenario.Key(&spec), Seed: seed, Flow: spec.FlowVersion}, true
+	return resultcache.Key{Cell: scenario.Key(&spec), Seed: seed}, true
 }
 
 // encodeRow renders a result's canonical cached payload.

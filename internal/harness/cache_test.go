@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -235,6 +238,68 @@ func TestCacheFutureSchemaEntryInvalidatesCleanly(t *testing.T) {
 	}
 	if hits, misses := warm.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("stats = %d/%d, want the mismatched entry treated exactly like a miss", hits, misses)
+	}
+}
+
+// TestCacheParentKeyEntryRecomputed plants an entry exactly where and
+// how the schema-1 store wrote it — file name hashed from
+// "s1|<cell>|seed=<seed>|flow=1", envelope carrying the flow field —
+// holding a doctored makespan. The current store must never serve it:
+// the lookup misses, the cell is recomputed bit-identically, and Prune
+// clears the orphan.
+func TestCacheParentKeyEntryRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := cacheTestConfigs()[:1]
+	fresh, err := Sweep(cfgs, SweepOptions{Parallel: 1, NoMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := CacheKey(cfgs[0])
+	if !ok {
+		t.Fatal("grid cell not cacheable")
+	}
+	row, err := encodeRow(fresh[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doctored map[string]any
+	if err := json.Unmarshal(row, &doctored); err != nil {
+		t.Fatal(err)
+	}
+	doctored["makespan_s"] = 1.0
+	staleRow, err := json.Marshal(doctored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(staleRow)
+	envelope, err := json.Marshal(map[string]any{
+		"schema": 1, "cell": key.Cell, "seed": key.Seed, "flow": 1,
+		"sha256": hex.EncodeToString(sum[:]), "row": json.RawMessage(staleRow),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sha256.Sum256([]byte(fmt.Sprintf("s1|%s|seed=%d|flow=1", key.Cell, key.Seed)))
+	if err := os.WriteFile(filepath.Join(dir, hex.EncodeToString(id[:])+".json"), envelope, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store := openTestCache(t, dir)
+	got, err := Sweep(cfgs, SweepOptions{Parallel: 1, NoMemo: true, Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rowsJSON(t, got)) != string(rowsJSON(t, fresh)) {
+		t.Errorf("parent-keyed entry leaked into the result:\n got %s\nwant %s", rowsJSON(t, got), rowsJSON(t, fresh))
+	}
+	if hits, misses := store.Stats(); hits != 0 || misses != 1 {
+		t.Errorf("stats = %d/%d, want the parent-keyed entry treated as a miss", hits, misses)
+	}
+	if _, err := store.Get(key); err != nil {
+		t.Errorf("recomputed entry not stored under the current key: %v", err)
+	}
+	if n, err := store.Prune(); err != nil || n != 1 {
+		t.Errorf("Prune removed %d entries (err %v), want the one parent-keyed orphan", n, err)
 	}
 }
 

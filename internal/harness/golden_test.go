@@ -232,44 +232,34 @@ func compareCells(t *testing.T, what string, got, want []goldenCell) {
 	}
 }
 
-// TestGoldenSweepDeterminism asserts the sweep engine's core promise,
-// under both flow-solver versions: the same matrix at -parallel 1 and
-// -parallel 8 yields byte-identical results. Fresh caches on both sides
-// so every cell actually runs twice.
+// TestGoldenSweepDeterminism asserts the sweep engine's core promise:
+// the same matrix at -parallel 1 and -parallel 8 yields byte-identical
+// results. Fresh caches on both sides so every cell actually runs twice.
 func TestGoldenSweepDeterminism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("paper-scale grid")
 	}
-	for _, version := range []int{1, 2} {
-		version := version
-		t.Run(fmt.Sprintf("flow-v%d", version), func(t *testing.T) {
-			t.Parallel()
-			cfgs := GridConfigs("epigenome")
-			for i := range cfgs {
-				cfgs[i].FlowVersion = version
-			}
-			run := func(parallel int) []byte {
-				results, err := Sweep(cfgs, SweepOptions{Parallel: parallel, NoMemo: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows := make([]ResultJSON, len(results))
-				for i, r := range results {
-					rows[i] = r.JSONRow()
-				}
-				data, err := json.Marshal(rows)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			}
-			serial := run(1)
-			concurrent := run(8)
-			if !bytes.Equal(serial, concurrent) {
-				t.Errorf("epigenome grid (flow v%d) differs between -parallel 1 and -parallel 8:\n%s\nvs\n%s",
-					version, serial, concurrent)
-			}
-		})
+	cfgs := GridConfigs("epigenome")
+	run := func(parallel int) []byte {
+		results, err := Sweep(cfgs, SweepOptions{Parallel: parallel, NoMemo: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]ResultJSON, len(results))
+		for i, r := range results {
+			rows[i] = r.JSONRow()
+		}
+		data, err := json.Marshal(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	serial := run(1)
+	concurrent := run(8)
+	if !bytes.Equal(serial, concurrent) {
+		t.Errorf("epigenome grid differs between -parallel 1 and -parallel 8:\n%s\nvs\n%s", serial, concurrent)
 	}
 }
 

@@ -77,9 +77,12 @@ type RunConfig struct {
 	// outage kill (wms.Options.CheckpointInterval). Zero disables it.
 	CheckpointInterval float64
 
-	// FlowVersion selects the flow-solver implementation (see
-	// flow.NewNetVersion): 0 or 1 is the default incremental solver, 2
-	// the coalescing bottleneck-heap solver.
+	// FlowVersion must be 0; Run and the sweeps reject any other value
+	// before a cell runs.
+	//
+	// Deprecated: the flow package has a single solver, so there is
+	// nothing to select. The field remains only because perfbench's
+	// composed runs still read it.
 	FlowVersion int
 
 	// transient marks a derived replicate (SweepSeeds, rep > 0): its
@@ -110,7 +113,6 @@ func (cfg RunConfig) Spec() scenario.Spec {
 		OutageDuration:     cfg.OutageDuration,
 		OutageSeed:         cfg.OutageSeed,
 		CheckpointInterval: cfg.CheckpointInterval,
-		FlowVersion:        cfg.FlowVersion,
 	}
 }
 
@@ -133,7 +135,6 @@ func SpecConfig(s scenario.Spec) RunConfig {
 		OutageDuration:     s.OutageDuration,
 		OutageSeed:         s.OutageSeed,
 		CheckpointInterval: s.CheckpointInterval,
-		FlowVersion:        s.FlowVersion,
 	}
 }
 
@@ -193,6 +194,9 @@ func (r *RunResult) Completed() int {
 // system or worker type — a typo in a spec file, say — fails with a
 // typed *scenario.UnknownNameError listing the valid names.
 func Run(cfg RunConfig) (*RunResult, error) {
+	if err := rejectSolverSelector([]RunConfig{cfg}); err != nil {
+		return nil, err
+	}
 	r, _, err := runWith(cfg, nil)
 	return r, err
 }
@@ -231,11 +235,8 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if cfg.FlowVersion < 0 || cfg.FlowVersion > 2 {
-		return nil, 0, fmt.Errorf("harness: flow version must be 0 (default), 1 or 2 (got %d)", cfg.FlowVersion)
-	}
 	e := sim.NewEngine()
-	net := flow.NewNetVersion(e, cfg.FlowVersion)
+	net := flow.NewNet(e)
 	c, err := cluster.New(e, net, rng.New(seed), cluster.Config{
 		Workers:         cfg.Workers,
 		WorkerType:      workerType,
@@ -296,6 +297,19 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 		CostSecond:      cost.Compute(c, res.Makespan, st, cost.PerSecond),
 		Cluster:         c,
 	}, e.Scheduled(), nil
+}
+
+// rejectSolverSelector fails configurations that still set the
+// deprecated solver selector. CellKey does not carry it, so the check
+// runs before any memo or cache lookup could serve a result computed
+// for a different configuration.
+func rejectSolverSelector(cfgs []RunConfig) error {
+	for _, cfg := range cfgs {
+		if cfg.FlowVersion != 0 {
+			return fmt.Errorf("harness: RunConfig.FlowVersion is deprecated and must be 0, got %d: the simulator has a single flow solver", cfg.FlowVersion)
+		}
+	}
+	return nil
 }
 
 // NodeCounts is the cluster-size sweep from the paper: "different numbers

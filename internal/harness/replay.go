@@ -35,10 +35,9 @@ func headerFor(cfg RunConfig) (eventlog.Header, error) {
 		seed = DefaultSeed
 	}
 	h := eventlog.Header{
-		CellKey:     CellKey(cfg),
-		Spec:        specJSON,
-		Seed:        seed,
-		FlowVersion: cfg.FlowVersion,
+		CellKey: CellKey(cfg),
+		Spec:    specJSON,
+		Seed:    seed,
 	}
 	if cfg.Workflow != nil {
 		var buf bytes.Buffer
@@ -88,6 +87,9 @@ func RunRecorded(cfg RunConfig, out io.Writer) (*RunResult, error) {
 // header is written verbatim, which is what lets Replay produce a
 // byte-identical stream: it hands the recorded header straight back.
 func runRecorded(cfg RunConfig, h eventlog.Header, out io.Writer) (*RunResult, error) {
+	if err := rejectSolverSelector([]RunConfig{cfg}); err != nil {
+		return nil, err
+	}
 	lw, err := eventlog.NewWriter(out, h)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,36 +46,34 @@ func replayWorkers(t *testing.T, name string) int {
 }
 
 // TestReplayVerifyAllBackends is the acceptance bar for the replay
-// layer: for every storage backend under both flow-solver versions,
-// a recorded run replays to a byte-identical event stream.
+// layer: for every storage backend, a recorded run replays to a
+// byte-identical event stream.
 func TestReplayVerifyAllBackends(t *testing.T) {
 	t.Parallel()
 	w := replayWorkflow(t)
 	for _, name := range storage.Names() {
-		for _, version := range []int{0, 2} {
-			name, version := name, version
-			t.Run(fmt.Sprintf("%s/flow-v%d", name, version), func(t *testing.T) {
-				t.Parallel()
-				cfg := RunConfig{
-					App: "montage", Storage: name,
-					Workers: replayWorkers(t, name), Workflow: w, FlowVersion: version,
-				}
-				var buf bytes.Buffer
-				if _, err := RunRecorded(cfg, &buf); err != nil {
-					t.Fatal(err)
-				}
-				_, v, err := ReplayVerify(buf.Bytes())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !v.Match {
-					t.Fatalf("replay diverged at seq %d: %s", v.Seq, v.Detail)
-				}
-				if v.Events == 0 {
-					t.Fatal("recorded log has no events")
-				}
-			})
-		}
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg := RunConfig{
+				App: "montage", Storage: name,
+				Workers: replayWorkers(t, name), Workflow: w,
+			}
+			var buf bytes.Buffer
+			if _, err := RunRecorded(cfg, &buf); err != nil {
+				t.Fatal(err)
+			}
+			_, v, err := ReplayVerify(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Match {
+				t.Fatalf("replay diverged at seq %d: %s", v.Seq, v.Detail)
+			}
+			if v.Events == 0 {
+				t.Fatal("recorded log has no events")
+			}
+		})
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // scaling and the cost of the extra nodes. This is the ROADMAP's open
 // "larger matrices" item, and it is also the workload that stresses the
 // flow solver hardest — at 32 nodes a single PVFS read fans out over 32
-// disks, which is exactly the regime the incremental dirty-set solver
-// and batched fan-outs were built for. The same matrix is expressible
+// disks, which is exactly the regime the incremental solver and batched
+// fan-outs were built for. The same matrix is expressible
 // through the public API as ec2wfsim.Sweep with VaryWorkers(8, 16, 32).
 
 // ScaleSizes is the canonical cluster-size ladder, the paper's largest
@@ -42,10 +42,6 @@ type ScaleStudyOptions struct {
 	// Apps and Storages override the study matrix.
 	Apps     []string
 	Storages []string
-	// FlowVersion selects the flow solver for every cell; 0 runs the
-	// default (v1). The 1000-node extension sets 2 — at that fan-out the
-	// coalescing heap solver is what makes the matrix affordable.
-	FlowVersion int
 	// Build, if set, supplies the workflow per application — tests use it
 	// to run scaled-down instances. Each cell gets its own instance.
 	Build func(app string) (*workflow.Workflow, error)
@@ -125,7 +121,7 @@ func ScaleStudy(o ScaleStudyOptions) ([]ScaleCell, string, error) {
 	for _, app := range o.Apps {
 		for _, sys := range o.Storages {
 			for _, workers := range o.Sizes {
-				cfg := RunConfig{App: app, Storage: sys, Workers: workers, FlowVersion: o.FlowVersion}
+				cfg := RunConfig{App: app, Storage: sys, Workers: workers}
 				if o.Build != nil {
 					w, err := o.Build(app)
 					if err != nil {

@@ -1,13 +1,16 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ec2wfsim/internal/rng"
 	"ec2wfsim/internal/scenario"
+	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/wms"
 )
 
@@ -273,5 +276,69 @@ func TestSpecRoundTripsRunConfig(t *testing.T) {
 		if !reflect.DeepEqual(decoded, spec) {
 			t.Fatalf("JSON round trip lost fields:\n got %+v\nwant %+v", decoded, spec)
 		}
+	}
+}
+
+// TestRetiredFlowVersionRejected covers every way the retired solver
+// selector can still arrive. As a spec or experiment-axis field it
+// fails decoding or expansion with an error naming flow_version; as
+// the deprecated RunConfig field it fails every run entry point before
+// a single cell runs or a byte of event log is written.
+func TestRetiredFlowVersionRejected(t *testing.T) {
+	t.Parallel()
+	w := replayWorkflow(t)
+	good := RunConfig{App: "montage", Storage: "nfs", Workers: 2, Workflow: w}
+	stale := good
+	stale.FlowVersion = 2
+	readCells := func(doc string) error {
+		e, err := scenario.Read(strings.NewReader(doc))
+		if err != nil {
+			return err
+		}
+		_, err = e.Cells()
+		return err
+	}
+	var ran int
+	opt := SweepOptions{Parallel: 1, NoMemo: true,
+		Progress: func(sweep.Update[RunConfig, *RunResult]) { ran++ }}
+	var log bytes.Buffer
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"spec field", func() error {
+			return readCells(`{"app": "montage", "storage": "nfs", "workers": 2, "flow_version": 2}`)
+		}, "flow_version"},
+		{"experiment base field", func() error {
+			return readCells(`{"base": {"app": "montage", "storage": "nfs", "workers": 2, "flow_version": 0}}`)
+		}, "flow_version"},
+		{"experiment axis", func() error {
+			return readCells(`{"base": {"app": "montage", "storage": "nfs", "workers": 2}, "axes": [{"field": "flow_version", "values": [0, 2]}]}`)
+		}, "flow_version"},
+		{"Run", func() error { _, err := Run(stale); return err }, "FlowVersion"},
+		{"RunRecorded", func() error { _, err := RunRecorded(stale, &log); return err }, "FlowVersion"},
+		{"Sweep", func() error {
+			_, err := Sweep([]RunConfig{good, stale}, opt)
+			return err
+		}, "FlowVersion"},
+		{"SweepSeeds", func() error {
+			o := opt
+			o.Seeds = 2
+			_, err := SweepSeeds([]RunConfig{good, stale}, o)
+			return err
+		}, "FlowVersion"},
+	}
+	for _, tc := range cases {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
+	if ran != 0 {
+		t.Errorf("%d cell(s) ran before the stale FlowVersion was rejected", ran)
+	}
+	if log.Len() != 0 {
+		t.Errorf("RunRecorded wrote %d bytes of event log before rejecting the config", log.Len())
 	}
 }

@@ -187,6 +187,9 @@ func runCell(cfg RunConfig) (*RunResult, error) {
 // stops the sweep promptly: completed cells still reach opt.Progress,
 // and Sweep returns the context's error.
 func Sweep(cfgs []RunConfig, opt SweepOptions) ([]*RunResult, error) {
+	if err := rejectSolverSelector(cfgs); err != nil {
+		return nil, err
+	}
 	results, err := opt.engine().MapCtx(opt.ctx(), cfgs)
 	if err != nil {
 		return nil, err
@@ -287,6 +290,9 @@ func aggregate(cfg RunConfig, runs []*RunResult) Replicated {
 // which replicate finished first. With opt.OnCell set, aggregations
 // stream in cell order while later cells are still running.
 func SweepSeeds(cfgs []RunConfig, opt SweepOptions) ([]Replicated, error) {
+	if err := rejectSolverSelector(cfgs); err != nil {
+		return nil, err
+	}
 	seeds := opt.Seeds
 	if seeds <= 0 {
 		seeds = 1

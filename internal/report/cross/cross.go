@@ -8,9 +8,9 @@
 //
 // The typical pairings: two storage backends on the same workflow (the
 // paper's core question — *why* is PVFS faster than NFS here, not just
-// *that* it is), the same scenario under two flow-solver versions
-// (where the first divergent transfer localizes a numeric difference),
-// or a baseline against a failure/outage ablation.
+// *that* it is), the same scenario recorded before and after a change
+// to the simulator (where the first divergent transfer localizes a
+// numeric difference), or a baseline against a failure/outage ablation.
 package cross
 
 import (
@@ -29,7 +29,7 @@ type Options struct {
 	// Tol is the timing tolerance (seconds) below which a start or
 	// duration difference does not count as a divergence. Zero — the
 	// default — demands exact equality, the right bar for comparing
-	// runs that claim bit-identity (e.g. flow-solver versions).
+	// runs that claim bit-identity (e.g. a behaviour-neutral refactor).
 	Tol float64
 }
 

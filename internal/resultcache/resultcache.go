@@ -4,8 +4,8 @@
 // one store directory.
 //
 // Each entry holds one replicate's canonical JSON result row, keyed by
-// (schema version, canonical cell key, effective replicate seed, flow
-// solver version). The key material is hashed to the entry's file name,
+// (schema version, canonical cell key, effective replicate seed). The
+// key material is hashed to the entry's file name,
 // so the store is a flat directory of self-describing files: no index
 // to corrupt, no lock to take for reads, and concurrent writers of the
 // same key converge on identical content.
@@ -36,8 +36,11 @@ import (
 
 // SchemaVersion names the entry format. It participates in the key
 // hash, so bumping it orphans every older entry (they are never read
-// again — Prune removes them) rather than risking a misparse.
-const SchemaVersion = 1
+// again — Prune removes them) rather than risking a misparse. Version 2
+// dropped the flow-solver version from the key: the simulator has one
+// solver, and results computed under the retired one must not be served
+// as its output.
+const SchemaVersion = 2
 
 // Key identifies one replicate result.
 type Key struct {
@@ -47,23 +50,12 @@ type Key struct {
 	// Seed is the effective replicate seed (the cell's own seed for
 	// replicate 0, the derived seed otherwise).
 	Seed uint64
-	// Flow is the flow-solver version, normalized so 0 and 1 — both the
-	// default solver — share entries.
-	Flow int
-}
-
-// normFlow maps the two spellings of the default solver to one.
-func normFlow(v int) int {
-	if v == 0 {
-		return 1
-	}
-	return v
 }
 
 // material renders the canonical key material the entry file name is
 // hashed from.
 func (k Key) material() string {
-	return fmt.Sprintf("s%d|%s|seed=%d|flow=%d", SchemaVersion, k.Cell, k.Seed, normFlow(k.Flow))
+	return fmt.Sprintf("s%d|%s|seed=%d", SchemaVersion, k.Cell, k.Seed)
 }
 
 // id is the content address: the hex SHA-256 of the key material.
@@ -77,7 +69,6 @@ type entry struct {
 	Schema int             `json:"schema"`
 	Cell   string          `json:"cell"`
 	Seed   uint64          `json:"seed"`
-	Flow   int             `json:"flow"`
 	Sum    string          `json:"sha256"` // hex SHA-256 of Row
 	Row    json.RawMessage `json:"row"`
 }
@@ -172,7 +163,7 @@ func verify(path string, data []byte, want *Key) (json.RawMessage, error) {
 	if e.Schema != SchemaVersion {
 		return nil, &SchemaError{Path: path, Got: e.Schema, Want: SchemaVersion}
 	}
-	if want != nil && (e.Cell != want.Cell || e.Seed != want.Seed || e.Flow != normFlow(want.Flow)) {
+	if want != nil && (e.Cell != want.Cell || e.Seed != want.Seed) {
 		return nil, &CorruptError{Path: path, Reason: "entry key does not match requested key"}
 	}
 	sum := sha256.Sum256(e.Row)
@@ -191,7 +182,6 @@ func (s *Store) Put(k Key, row []byte) error {
 		Schema: SchemaVersion,
 		Cell:   k.Cell,
 		Seed:   k.Seed,
-		Flow:   normFlow(k.Flow),
 		Sum:    hex.EncodeToString(sum[:]),
 		Row:    json.RawMessage(row),
 	}
@@ -255,7 +245,7 @@ func (s *Store) Keys() ([]Key, error) {
 			}
 			continue
 		}
-		keys = append(keys, Key{Cell: e.Cell, Seed: e.Seed, Flow: e.Flow})
+		keys = append(keys, Key{Cell: e.Cell, Seed: e.Seed})
 	}
 	return keys, firstErr
 }

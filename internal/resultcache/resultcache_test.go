@@ -31,7 +31,7 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	k := Key{Cell: "app=montage|storage=s3fs|workers=8", Seed: 0x5EED, Flow: 2}
+	k := Key{Cell: "app=montage|storage=s3fs|workers=8", Seed: 0x5EED}
 	row := []byte(`{"makespan_s":123.5}`)
 	if err := s.Put(k, row); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestGetMiss(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	if _, err := s.Get(Key{Cell: "nope", Seed: 1, Flow: 1}); !errors.Is(err, ErrMiss) {
+	if _, err := s.Get(Key{Cell: "nope", Seed: 1}); !errors.Is(err, ErrMiss) {
 		t.Fatalf("err = %v, want ErrMiss", err)
 	}
 	if hits, misses := s.Stats(); hits != 0 || misses != 1 {
@@ -62,12 +62,11 @@ func TestGetMiss(t *testing.T) {
 func TestDistinctKeysDistinctEntries(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	base := Key{Cell: "cell", Seed: 7, Flow: 1}
+	base := Key{Cell: "cell", Seed: 7}
 	variants := []Key{
 		base,
-		{Cell: "cell2", Seed: 7, Flow: 1},
-		{Cell: "cell", Seed: 8, Flow: 1},
-		{Cell: "cell", Seed: 7, Flow: 2},
+		{Cell: "cell2", Seed: 7},
+		{Cell: "cell", Seed: 8},
 	}
 	for i, k := range variants {
 		if err := s.Put(k, []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
@@ -88,25 +87,10 @@ func TestDistinctKeysDistinctEntries(t *testing.T) {
 	}
 }
 
-func TestFlowZeroAndOneShareEntries(t *testing.T) {
-	t.Parallel()
-	s := testStore(t)
-	if err := s.Put(Key{Cell: "c", Seed: 1, Flow: 0}, []byte(`{"v":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(Key{Cell: "c", Seed: 1, Flow: 1})
-	if err != nil {
-		t.Fatalf("flow 1 lookup after flow 0 put: %v", err)
-	}
-	if string(got) != `{"v":1}` {
-		t.Errorf("got %s", got)
-	}
-}
-
 func TestPutOverwrites(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	k := Key{Cell: "c", Seed: 1, Flow: 1}
+	k := Key{Cell: "c", Seed: 1}
 	for _, row := range []string{`{"v":1}`, `{"v":2}`} {
 		if err := s.Put(k, []byte(row)); err != nil {
 			t.Fatal(err)
@@ -137,7 +121,7 @@ func entryPath(t *testing.T, s *Store, k Key) string {
 func TestBitFlipIsCorruptError(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	k := Key{Cell: "c", Seed: 1, Flow: 1}
+	k := Key{Cell: "c", Seed: 1}
 	if err := s.Put(k, []byte(`{"makespan_s":123.5}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +156,7 @@ func TestBitFlipIsCorruptError(t *testing.T) {
 func TestTruncatedEntryIsCorruptError(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	k := Key{Cell: "c", Seed: 1, Flow: 1}
+	k := Key{Cell: "c", Seed: 1}
 	if err := s.Put(k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +177,7 @@ func TestTruncatedEntryIsCorruptError(t *testing.T) {
 func TestSchemaMismatchIsSchemaError(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	k := Key{Cell: "c", Seed: 1, Flow: 1}
+	k := Key{Cell: "c", Seed: 1}
 	if err := s.Put(k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +212,8 @@ func TestSchemaMismatchIsSchemaError(t *testing.T) {
 func TestKeyFieldMismatchIsCorruptError(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	a := Key{Cell: "a", Seed: 1, Flow: 1}
-	b := Key{Cell: "b", Seed: 1, Flow: 1}
+	a := Key{Cell: "a", Seed: 1}
+	b := Key{Cell: "b", Seed: 1}
 	if err := s.Put(a, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +237,7 @@ func TestKeysSortedAndStable(t *testing.T) {
 	s := testStore(t)
 	var want []Key
 	for i := 0; i < 8; i++ {
-		k := Key{Cell: fmt.Sprintf("cell-%d", i), Seed: uint64(i), Flow: 1 + i%2}
+		k := Key{Cell: fmt.Sprintf("cell-%d", i), Seed: uint64(i)}
 		if err := s.Put(k, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
@@ -294,8 +278,8 @@ func TestKeysSortedAndStable(t *testing.T) {
 func TestKeysReportsCorruptEntriesButReturnsRemainder(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	good := Key{Cell: "good", Seed: 1, Flow: 1}
-	bad := Key{Cell: "bad", Seed: 2, Flow: 1}
+	good := Key{Cell: "good", Seed: 1}
+	bad := Key{Cell: "bad", Seed: 2}
 	for _, k := range []Key{good, bad} {
 		if err := s.Put(k, []byte(`{}`)); err != nil {
 			t.Fatal(err)
@@ -317,8 +301,8 @@ func TestKeysReportsCorruptEntriesButReturnsRemainder(t *testing.T) {
 func TestPruneRemovesDamagedEntriesOnly(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	good := Key{Cell: "good", Seed: 1, Flow: 1}
-	bad := Key{Cell: "bad", Seed: 2, Flow: 1}
+	good := Key{Cell: "good", Seed: 1}
+	bad := Key{Cell: "bad", Seed: 2}
 	for _, k := range []Key{good, bad} {
 		if err := s.Put(k, []byte(`{"v":1}`)); err != nil {
 			t.Fatal(err)
@@ -345,7 +329,7 @@ func TestPruneRemovesDamagedEntriesOnly(t *testing.T) {
 func TestTempFilesInvisible(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	if err := s.Put(Key{Cell: "c", Seed: 1, Flow: 1}, []byte(`{}`)); err != nil {
+	if err := s.Put(Key{Cell: "c", Seed: 1}, []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	// A stranded temp file (a crashed writer) must not show up as an
@@ -364,7 +348,7 @@ func TestTempFilesInvisible(t *testing.T) {
 func TestConcurrentPutGet(t *testing.T) {
 	t.Parallel()
 	s := testStore(t)
-	k := Key{Cell: "c", Seed: 1, Flow: 1}
+	k := Key{Cell: "c", Seed: 1}
 	row := []byte(`{"v":42}`)
 	done := make(chan error, 16)
 	for i := 0; i < 8; i++ {

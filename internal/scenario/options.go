@@ -226,42 +226,16 @@ var groups = []group{
 			"checkpoint_interval": func(s *Spec, v any) error { return setFloat(&s.CheckpointInterval, "checkpoint_interval", v) },
 		},
 	},
-	{
-		name: "flowversion",
-		// The segment is empty at the default (0 and the explicit 1 both
-		// select the incremental solver), so every pre-existing key stays
-		// byte-identical; only a v2 run names a distinct cell. No pairKey:
-		// the solver version must not change replicate seeds — a v2 cell's
-		// replicates stay paired with its v1 baseline.
-		key: func(s *Spec) string {
-			if s.FlowVersion <= 1 {
-				return ""
-			}
-			return fmt.Sprintf("flow=%d", s.FlowVersion)
-		},
-		flags: func(fs *flag.FlagSet, s *Spec) {
-			fs.IntVar(&s.FlowVersion, "flow-version", s.FlowVersion,
-				"flow solver version: 0/1 = incremental (default), 2 = coalescing bottleneck-heap solver")
-		},
-		axes: map[string]func(s *Spec, v any) error{
-			"flow_version": func(s *Spec, v any) error { return setInt(&s.FlowVersion, "flow_version", v) },
-		},
-	},
 }
 
 // Key renders the canonical memoization key: the "|"-join of every
-// group's non-empty normalized segment. Equivalent configurations (an
-// explicit c1.xlarge or seed 0x5EED versus the zero value; failure or
-// outage knobs set while their rate is 0) render identical keys. A
-// group whose segment is empty at its default (flowversion) drops out
-// entirely, which keeps every key minted before the group existed
-// byte-identical.
+// group's normalized segment. Equivalent configurations (an explicit
+// c1.xlarge or seed 0x5EED versus the zero value; failure or outage
+// knobs set while their rate is 0) render identical keys.
 func Key(s *Spec) string {
-	segs := make([]string, 0, len(groups))
-	for _, g := range groups {
-		if seg := g.key(s); seg != "" {
-			segs = append(segs, seg)
-		}
+	segs := make([]string, len(groups))
+	for i, g := range groups {
+		segs[i] = g.key(s)
 	}
 	return strings.Join(segs, "|")
 }

@@ -70,13 +70,6 @@ type Spec struct {
 	// CheckpointInterval makes tasks checkpoint every interval seconds
 	// of computation; 0 disables checkpointing.
 	CheckpointInterval float64 `json:"checkpoint_interval,omitempty"`
-
-	// FlowVersion selects the flow-solver implementation: 0 or 1 is the
-	// default incremental solver (bit-identical to the original
-	// from-scratch solve), 2 the coalescing bottleneck-heap solver
-	// (identical totals, timestamps within float tolerance; see
-	// internal/flow).
-	FlowVersion int `json:"flow_version,omitempty"`
 }
 
 // CanonicalJSON renders the spec as compact JSON with the struct's
@@ -156,9 +149,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.FailureRate < 0 || s.OutageRate < 0 || s.OutageDuration < 0 || s.CheckpointInterval < 0 {
 		return fmt.Errorf("scenario: rates, durations and intervals must be non-negative")
-	}
-	if s.FlowVersion < 0 || s.FlowVersion > 2 {
-		return fmt.Errorf("scenario: flow_version must be 0 (default), 1 or 2 (got %d)", s.FlowVersion)
 	}
 	return nil
 }

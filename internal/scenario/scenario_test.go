@@ -27,39 +27,6 @@ func TestKeyNormalizesDefaults(t *testing.T) {
 	}
 }
 
-// TestKeyFlowVersion pins the flowversion group's key contract: the
-// default (0) and an explicit v1 drop out of the key entirely — so keys
-// minted before the group existed stay byte-identical — while v2 names
-// a distinct cell. The pairing hash must ignore the version either way:
-// a v2 cell's replicates stay seed-paired with its v1 baseline.
-func TestKeyFlowVersion(t *testing.T) {
-	base := &Spec{App: "montage", Storage: "nfs", Workers: 2}
-	v1 := &Spec{App: "montage", Storage: "nfs", Workers: 2, FlowVersion: 1}
-	v2 := &Spec{App: "montage", Storage: "nfs", Workers: 2, FlowVersion: 2}
-	if Key(base) != Key(v1) {
-		t.Errorf("explicit v1 split the key:\n%q\nvs\n%q", Key(base), Key(v1))
-	}
-	if strings.Contains(Key(base), "flow") {
-		t.Errorf("default key mentions the flow version: %q", Key(base))
-	}
-	if Key(base) == Key(v2) {
-		t.Error("flow version 2 did not change the key")
-	}
-	if !strings.Contains(Key(v2), "flow=2") {
-		t.Errorf("v2 key missing flow segment: %q", Key(v2))
-	}
-	if PairKey(base) != PairKey(v2) {
-		t.Errorf("flow version changed the pairing hash:\n%q\nvs\n%q", PairKey(base), PairKey(v2))
-	}
-	if err := v2.Validate(); err != nil {
-		t.Errorf("flow version 2 failed validation: %v", err)
-	}
-	bad := &Spec{App: "montage", Storage: "nfs", Workers: 2, FlowVersion: 3}
-	if err := bad.Validate(); err == nil {
-		t.Error("flow version 3 passed validation")
-	}
-}
-
 func TestPairKeyExcludesKnobs(t *testing.T) {
 	base := &Spec{App: "montage", Storage: "nfs", Workers: 2}
 	knobbed := &Spec{App: "montage", Storage: "nfs", Workers: 2,

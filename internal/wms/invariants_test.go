@@ -209,7 +209,7 @@ func deployRaw(seed uint64, sysName string, workers int) (*sim.Engine, *cluster.
 // relies on between workflows: once a run completes, the transfer graph
 // is drained — no active transfers, and every cluster resource reports
 // zero committed load. A stale load or a leaked membership would poison
-// the dirty-set solve of whatever runs on the network next.
+// the component solve of whatever runs on the network next.
 func checkNetQuiescent(t *testing.T, net *flow.Net, c *cluster.Cluster) {
 	t.Helper()
 	if n := net.Active(); n != 0 {
@@ -230,51 +230,48 @@ func checkNetQuiescent(t *testing.T, net *flow.Net, c *cluster.Cluster) {
 
 // TestNetworkQuiescentAfterRun runs a workflow on every storage system
 // (their transfer registration paths differ: plain transfers, capped
-// connections, batched PVFS fan-outs) under both flow-solver versions
-// and asserts the flow graph drains. For v2 this is the end-to-end
-// check that deferred coalesced flushes leave nothing behind: a stale
-// load from a skipped flush or a leaked ETA entry would surface here as
-// residual load or a live transfer.
+// connections, batched PVFS fan-outs) and asserts the flow graph
+// drains. This is the end-to-end check that deferred coalesced flushes
+// leave nothing behind: a stale load from a skipped flush or a leaked
+// ETA entry would surface here as residual load or a live transfer.
 func TestNetworkQuiescentAfterRun(t *testing.T) {
-	for _, version := range []int{1, 2} {
-		for _, sysName := range []string{"local", "nfs", "gluster-nufa", "gluster-dist", "pvfs", "s3", "xtreemfs"} {
-			version, sysName := version, sysName
-			t.Run(fmt.Sprintf("flow-v%d/%s", version, sysName), func(t *testing.T) {
-				t.Parallel()
-				sys, err := storage.ByName(sysName)
-				if err != nil {
-					t.Fatal(err)
-				}
-				workers := 2
-				if sysName == "local" {
-					workers = 1
-				}
-				e := sim.NewEngine()
-				net := flow.NewNetVersion(e, version)
-				c, err := cluster.New(e, net, rng.New(7), cluster.Config{
-					Workers:    workers,
-					WorkerType: cluster.C1XLarge(),
-					Extra:      sys.ExtraNodeTypes(),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				env := &storage.Env{E: e, Net: net, Workers: c.Workers, Extra: c.Extra, R: rng.New(8)}
-				if err := sys.Init(env); err != nil {
-					t.Fatal(err)
-				}
-				w, err := apps.Montage(apps.MontageConfig{Images: 30})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := Run(e, Options{Cluster: c, Storage: sys}, w); err != nil {
-					t.Fatal(err)
-				}
-				checkNetQuiescent(t, net, c)
-				if net.TotalTransfers == 0 {
-					t.Error("workflow moved no data through the flow network")
-				}
+	for _, sysName := range []string{"local", "nfs", "gluster-nufa", "gluster-dist", "pvfs", "s3", "xtreemfs"} {
+		sysName := sysName
+		t.Run(sysName, func(t *testing.T) {
+			t.Parallel()
+			sys, err := storage.ByName(sysName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers := 2
+			if sysName == "local" {
+				workers = 1
+			}
+			e := sim.NewEngine()
+			net := flow.NewNet(e)
+			c, err := cluster.New(e, net, rng.New(7), cluster.Config{
+				Workers:    workers,
+				WorkerType: cluster.C1XLarge(),
+				Extra:      sys.ExtraNodeTypes(),
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &storage.Env{E: e, Net: net, Workers: c.Workers, Extra: c.Extra, R: rng.New(8)}
+			if err := sys.Init(env); err != nil {
+				t.Fatal(err)
+			}
+			w, err := apps.Montage(apps.MontageConfig{Images: 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(e, Options{Cluster: c, Storage: sys}, w); err != nil {
+				t.Fatal(err)
+			}
+			checkNetQuiescent(t, net, c)
+			if net.TotalTransfers == 0 {
+				t.Error("workflow moved no data through the flow network")
+			}
+		})
 	}
 }
