@@ -204,6 +204,12 @@ func resName(i int) string {
 	return fmt.Sprintf("r%d", i)
 }
 
+// solverSubtest names the subtest under which the metamorphic and
+// allocation checks run the solver. It is the label the coalescing solver
+// had while an eager solver ran beside it as version 1; keeping it keeps
+// those tests' names stable.
+const solverSubtest = "v2"
+
 func newRealDriver(e *sim.Engine, caps []float64) *realDriver {
 	d := &realDriver{n: NewNet(e), rs: make([]*Resource, 0, len(caps))}
 	for i, c := range caps {

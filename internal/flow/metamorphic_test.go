@@ -108,22 +108,24 @@ func TestPermutationInvariance(t *testing.T) {
 	// each completion can land completionEps of bytes early, and those
 	// bytes drain at no less than the slowest capacity in the graph.
 	const slack = 4 * completionEps * (3 * 2 * 4) / 30e6
-	base := runPermuted(identity)
-	for name, perm := range map[string][]int{"reversed": reversed, "rotated": rotated} {
-		got := runPermuted(perm)
-		if !timeClose(got.end, base.end, slack) {
-			t.Errorf("%s: makespan diverged beyond tolerance: %v vs identity %v", name, got.end, base.end)
-		}
-		if got.totalBytes != base.totalBytes || got.totalCount != base.totalCount {
-			t.Errorf("%s: totals diverged: (%v, %d) vs identity (%v, %d)",
-				name, got.totalBytes, got.totalCount, base.totalBytes, base.totalCount)
-		}
-		for i, ld := range got.finalLoads {
-			if ld != 0 {
-				t.Errorf("%s: residual load %g on logical resource %d after drain", name, ld, i)
+	t.Run(solverSubtest, func(t *testing.T) {
+		base := runPermuted(identity)
+		for name, perm := range map[string][]int{"reversed": reversed, "rotated": rotated} {
+			got := runPermuted(perm)
+			if !timeClose(got.end, base.end, slack) {
+				t.Errorf("%s: makespan diverged beyond tolerance: %v vs identity %v", name, got.end, base.end)
+			}
+			if got.totalBytes != base.totalBytes || got.totalCount != base.totalCount {
+				t.Errorf("%s: totals diverged: (%v, %d) vs identity (%v, %d)",
+					name, got.totalBytes, got.totalCount, base.totalBytes, base.totalCount)
+			}
+			for i, ld := range got.finalLoads {
+				if ld != 0 {
+					t.Errorf("%s: residual load %g on logical resource %d after drain", name, ld, i)
+				}
 			}
 		}
-	}
+	})
 }
 
 // runSplitCapacity runs two long transfers through a shared link whose
@@ -161,7 +163,9 @@ func runSplitCapacity(mids []float64) *trace {
 // bit-identical to applying the final value directly.
 func TestCapacityChangeSplittingInvariance(t *testing.T) {
 	t.Parallel()
-	direct := runSplitCapacity(nil)
-	split := runSplitCapacity([]float64{90e6, 10e6})
-	compareExact(t, "split", split, direct, &script{ops: make([]scriptOp, 2)})
+	t.Run(solverSubtest, func(t *testing.T) {
+		direct := runSplitCapacity(nil)
+		split := runSplitCapacity([]float64{90e6, 10e6})
+		compareExact(t, "split", split, direct, &script{ops: make([]scriptOp, 2)})
+	})
 }

@@ -212,6 +212,85 @@ func TestGoldenPaperNumbers(t *testing.T) {
 	}
 }
 
+// eagerSolverMontage holds the montage grid makespans computed by the
+// eager flow solver that the coalescing solver replaced. They are frozen
+// here rather than in a golden file, so -update-golden cannot move them.
+var eagerSolverMontage = []struct {
+	label    string
+	makespan float64
+}{
+	{"local/1", 3901.7727017801103},
+	{"s3/1", 4299.047452235267},
+	{"s3/2", 2881.4458995315463},
+	{"s3/4", 2147.15697886644},
+	{"s3/8", 1763.0329264822885},
+	{"nfs/1", 3950.492774876667},
+	{"nfs/2", 2277.8125743098535},
+	{"nfs/4", 1674.1595883406192},
+	{"nfs/8", 2211.2226883910234},
+	{"gluster-nufa/2", 2220.1416773591186},
+	{"gluster-nufa/4", 1371.400128764512},
+	{"gluster-nufa/8", 955.0323153987825},
+	{"gluster-dist/2", 2220.0444604763234},
+	{"gluster-dist/4", 1365.2824520358809},
+	{"gluster-dist/8", 949.9192859997063},
+	{"pvfs/2", 3193.0869295883776},
+	{"pvfs/4", 2161.3758495063194},
+	{"pvfs/8", 1645.9261063178055},
+}
+
+// TestGoldenV2PaperNumbers keeps the name it had while the coalescing
+// solver ran as version 2 beside the eager one. It runs the montage grid
+// through Sweep, not Grid, and checks two things. The rows equal the
+// golden file's exactly. And every makespan stays within 1% of the eager
+// solver's, which catches a solver change large enough to alter the
+// paper's conclusions even while golden.json is being regenerated.
+func TestGoldenV2PaperNumbers(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("paper-scale grid")
+	}
+	cfgs := GridConfigs("montage")
+	results, err := Sweep(cfgs, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]goldenCell, len(results))
+	for i, r := range results {
+		got[i] = goldenCell{
+			Label:      fmt.Sprintf("%s/%d", cfgs[i].Storage, cfgs[i].Workers),
+			Makespan:   r.Makespan,
+			CostHour:   r.CostHour.Total(),
+			CostSecond: r.CostSecond.Total(),
+		}
+	}
+	if len(got) != len(eagerSolverMontage) {
+		t.Fatalf("montage grid has %d cells, eager reference %d", len(got), len(eagerSolverMontage))
+	}
+	for i, ref := range eagerSolverMontage {
+		if got[i].Label != ref.label {
+			t.Fatalf("cell %d is %s, eager reference has %s", i, got[i].Label, ref.label)
+		}
+		if diff := got[i].Makespan - ref.makespan; diff > 0.01*ref.makespan || diff < -0.01*ref.makespan {
+			t.Errorf("cell %s: makespan %.3f diverges from the eager solver's %.3f beyond 1%%",
+				ref.label, got[i].Makespan, ref.makespan)
+		}
+	}
+	if *updateGolden {
+		// TestGoldenPaperNumbers is rewriting the file.
+		return
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want goldenData
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	compareCells(t, "montage grid (Sweep)", got, want.MontageGrid)
+}
+
 func at(rows []string, i int) string {
 	if i < len(rows) {
 		return rows[i]
@@ -240,27 +319,31 @@ func TestGoldenSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale grid")
 	}
-	cfgs := GridConfigs("epigenome")
-	run := func(parallel int) []byte {
-		results, err := Sweep(cfgs, SweepOptions{Parallel: parallel, NoMemo: true})
-		if err != nil {
-			t.Fatal(err)
+	// The subtest keeps the name it had while an eager solver ran beside
+	// the coalescing one (flow-v1 and flow-v2), so the test name stays stable.
+	t.Run("flow-v2", func(t *testing.T) {
+		cfgs := GridConfigs("epigenome")
+		run := func(parallel int) []byte {
+			results, err := Sweep(cfgs, SweepOptions{Parallel: parallel, NoMemo: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]ResultJSON, len(results))
+			for i, r := range results {
+				rows[i] = r.JSONRow()
+			}
+			data, err := json.Marshal(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
 		}
-		rows := make([]ResultJSON, len(results))
-		for i, r := range results {
-			rows[i] = r.JSONRow()
+		serial := run(1)
+		concurrent := run(8)
+		if !bytes.Equal(serial, concurrent) {
+			t.Errorf("epigenome grid differs between -parallel 1 and -parallel 8:\n%s\nvs\n%s", serial, concurrent)
 		}
-		data, err := json.Marshal(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	serial := run(1)
-	concurrent := run(8)
-	if !bytes.Equal(serial, concurrent) {
-		t.Errorf("epigenome grid differs between -parallel 1 and -parallel 8:\n%s\nvs\n%s", serial, concurrent)
-	}
+	})
 }
 
 // TestGoldenMultiSeedDeterminism extends the determinism bar to
