@@ -31,14 +31,15 @@ import (
 	"ec2wfsim/internal/wfprof"
 )
 
-// benchGrid runs one application's full figure grid per iteration and
-// reports the headline series values as custom metrics.
+// benchGrid simulates one application's full figure grid per iteration
+// (bypassing the process-wide cell memo, so no iteration times a lookup)
+// and reports the headline series values as custom metrics.
 func benchGrid(b *testing.B, app string, metricCells map[string][2]interface{}) {
 	b.Helper()
 	var cells []harness.Cell
 	for i := 0; i < b.N; i++ {
 		var err error
-		cells, err = harness.Grid(app, nil)
+		cells, err = harness.GridSweep(app, nil, harness.SweepOptions{NoMemo: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,14 +93,15 @@ func BenchmarkFig4BroadbandGrid(b *testing.B) {
 	})
 }
 
-// benchCost reruns an application grid and reports the cheapest per-hour
-// deployment, regenerating the corresponding cost figure.
+// benchCost re-simulates an application grid (bypassing the cell memo)
+// and reports the cheapest per-hour deployment, regenerating the
+// corresponding cost figure.
 func benchCost(b *testing.B, app string) {
 	b.Helper()
 	var cells []harness.Cell
 	for i := 0; i < b.N; i++ {
 		var err error
-		cells, err = harness.Grid(app, nil)
+		cells, err = harness.GridSweep(app, nil, harness.SweepOptions{NoMemo: true})
 		if err != nil {
 			b.Fatal(err)
 		}

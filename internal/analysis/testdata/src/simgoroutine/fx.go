@@ -18,11 +18,10 @@ func napAndLock(mu *sync.Mutex) {
 }
 
 // Channels on their own are just data structures; the engine decides
-// who runs. (The sim engine's own internals use them under a single
-// runnable-goroutine discipline.)
+// who runs.
 func recv(c chan int) int { return <-c }
 
 func suppressedGo(done chan struct{}) {
-	//wfvet:ignore simgoroutine fixture stand-in for the engine's own park/resume goroutine handshake
+	//wfvet:ignore simgoroutine fixture stand-in for a justified exception to the rule
 	go close(done)
 }

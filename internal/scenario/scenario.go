@@ -18,6 +18,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"ec2wfsim/internal/apps"
@@ -146,6 +147,19 @@ func (s *Spec) Validate() error {
 	}
 	if s.Workers <= 0 {
 		return fmt.Errorf("scenario: workers must be positive (got %d)", s.Workers)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"failure_rate", s.FailureRate},
+		{"outage_rate", s.OutageRate},
+		{"outage_duration", s.OutageDuration},
+		{"checkpoint_interval", s.CheckpointInterval},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s must be finite (got %g)", f.name, f.v)
+		}
 	}
 	if s.FailureRate < 0 || s.OutageRate < 0 || s.OutageDuration < 0 || s.CheckpointInterval < 0 {
 		return fmt.Errorf("scenario: rates, durations and intervals must be non-negative")

@@ -1,12 +1,13 @@
 // Package sim implements a deterministic discrete-event simulation engine
-// with goroutine-backed processes.
+// with coroutine-backed processes.
 //
 // The engine owns a virtual clock (float64 seconds) and an event heap.
 // Simulation logic is written as ordinary sequential Go code inside
 // processes (see Proc); a process that sleeps or blocks on a synchronization
-// primitive parks its goroutine and hands control back to the engine, which
-// advances the clock to the next event. Exactly one goroutine — either the
-// engine or a single process — runs at any instant, so simulation state
+// primitive yields from its coroutine back to the engine, which advances the
+// clock to the next event. Exactly one of the engine or a single process
+// runs at any instant, and control passes by coroutine switch (iter.Pull)
+// rather than through the Go scheduler, so simulation state
 // needs no locking and runs are bit-for-bit reproducible: events at equal
 // times fire in scheduling order (FIFO by sequence number).
 //
@@ -94,8 +95,7 @@ type Engine struct {
 	now      float64
 	seq      int64
 	events   eventHeap
-	free     []*event      // recycled event records
-	yielded  chan struct{} // signaled by a process when it parks or exits
+	free     []*event // recycled event records
 	cur      *Proc
 	panicVal interface{}
 	procSeq  int
@@ -104,7 +104,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at 0.
 func NewEngine() *Engine {
-	return &Engine{yielded: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current simulated time in seconds.
@@ -287,15 +287,14 @@ func (e *Engine) wake(p *Proc) {
 	e.schedule(e.now, p.resumeFn)
 }
 
-// resume hands control to a parked process and waits for it to park again
-// or exit.
+// resume switches to a parked (or not yet started) process's coroutine and
+// returns when it parks again or exits.
 func (e *Engine) resume(p *Proc) {
 	if p.finished {
 		panic("sim: resuming finished process " + p.name)
 	}
 	prev := e.cur
 	e.cur = p
-	p.wakeCh <- struct{}{}
-	<-e.yielded
+	p.next()
 	e.cur = prev
 }

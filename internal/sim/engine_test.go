@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -537,4 +538,108 @@ func TestSleepChurnAllocationFree(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("sleep churn allocated %.1f objects per 5 ticks, want 0", allocs)
 	}
+}
+
+// A process that panics after it has parked is on its own coroutine by
+// then; the panic must still surface from Run with the process's name.
+func TestProcPanicAfterParkPropagates(t *testing.T) {
+	e := NewEngine()
+	e.Go("x", func(p *Proc) {
+		p.Sleep(1)
+		p.Yield()
+		panic("late")
+	})
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if want := `sim: process "x" panicked: late`; msg != want {
+			t.Fatalf("Run panicked with %v, want %q", r, want)
+		}
+		if e.Now() != 1 {
+			t.Errorf("panic surfaced at t=%g, want 1", e.Now())
+		}
+	}()
+	e.Run()
+}
+
+// Parking is only legal from the process's own body: a Sleep issued from
+// an engine callback must be refused, not switch coroutines.
+func TestParkFromEngineCallbackPanics(t *testing.T) {
+	e := NewEngine()
+	var parked *Proc
+	e.GoDaemon("d", func(p *Proc) {
+		parked = p
+		p.Suspend()
+	})
+	e.At(1, func() { parked.Sleep(1) })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "parking while not the running process") {
+			t.Fatalf("Run panicked with %q, want the not-running-process check", msg)
+		}
+	}()
+	e.Run()
+}
+
+// A daemon still parked when the queue drains is not a deadlock: Run
+// returns normally once every non-daemon process has finished.
+func TestParkedDaemonAtEndOfRun(t *testing.T) {
+	e := NewEngine()
+	dirty := NewMailbox[int](e)
+	flushed := 0
+	e.GoDaemon("flusher", func(p *Proc) {
+		for {
+			n, _ := dirty.Get(p)
+			flushed += n
+		}
+	})
+	done := false
+	e.Go("worker", func(p *Proc) {
+		p.Sleep(2)
+		dirty.Put(7)
+		p.Sleep(3)
+		done = true
+	})
+	e.Run()
+	if !done || flushed != 7 || e.Now() != 5 {
+		t.Fatalf("done=%v flushed=%d now=%g, want true 7 5", done, flushed, e.Now())
+	}
+}
+
+// A steady-state suspend/resume cycle is two coroutine switches and one
+// recycled event record: it must not allocate.
+func TestSuspendResumeAllocationFree(t *testing.T) {
+	e := NewEngine()
+	var p *Proc
+	e.GoDaemon("loop", func(q *Proc) {
+		p = q
+		for {
+			q.Suspend()
+		}
+	})
+	e.Run()
+	p.Resume()
+	e.Run() // warm up the free list
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Resume()
+		e.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("suspend/resume cycle allocated %.1f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkProcSwitch measures one park/resume round trip: a Yield
+// schedules the process's wakeup, switches to the engine, and the engine
+// pops the event and switches back.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine()
+	e.Go("switch", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Yield()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }

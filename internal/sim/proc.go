@@ -1,28 +1,36 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulation process: a goroutine that runs sequential simulation
-// logic and yields to the engine whenever it sleeps or blocks. A Proc must
-// only be used from its own goroutine (the function passed to Engine.Go).
+// Proc is a simulation process: a coroutine-backed body of sequential
+// simulation logic that yields to the engine whenever it sleeps or blocks.
+// A Proc must only be used from its own body (the function passed to
+// Engine.Go).
 type Proc struct {
 	e        *Engine
 	name     string
 	id       int
-	wakeCh   chan struct{}
 	finished bool
 	daemon   bool
+	// next switches into the process's coroutine and returns once it parks
+	// or exits; yield, called from inside the coroutine, switches back.
+	// Both come from one iter.Pull, created when the process starts.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 	// resumeFn is the pre-bound resume callback scheduled by Sleep and
 	// wake; binding it once keeps the park/resume cycle allocation-free.
 	resumeFn func()
 }
 
-// Go starts a new process running fn. The process begins executing at the
-// current simulation time (as a scheduled event, so the caller continues
-// first). The name appears in deadlock and misuse panics.
+// Go starts a new coroutine-backed process running fn. The process begins
+// executing at the current simulation time (as a scheduled event, so the
+// caller continues first). The name appears in deadlock and misuse panics.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{e: e, name: name, id: e.procSeq, wakeCh: make(chan struct{})}
+	p := &Proc{e: e, name: name, id: e.procSeq}
 	p.resumeFn = func() { e.resume(p) }
 	e.live++
 	e.At(e.now, func() { e.start(p, fn) })
@@ -40,12 +48,13 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// start launches the goroutine for p and waits for its first yield.
+// start creates p's coroutine, with fn as its body, and runs it up to its
+// first park. The deferred recover runs inside the coroutine, so a
+// panicking process is recorded for step to re-raise instead of unwinding
+// through the engine.
 func (e *Engine) start(p *Proc, fn func(p *Proc)) {
-	prev := e.cur
-	e.cur = p
-	//wfvet:ignore simgoroutine the engine itself is the one sanctioned goroutine owner: each Proc runs on a real goroutine but the yielded/wake handshake keeps exactly one runnable at a time, so the interleaving is the event queue's, not the host scheduler's
-	go func() {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				e.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
@@ -54,12 +63,10 @@ func (e *Engine) start(p *Proc, fn func(p *Proc)) {
 			if !p.daemon {
 				e.live--
 			}
-			e.yielded <- struct{}{}
 		}()
 		fn(p)
-	}()
-	<-e.yielded
-	e.cur = prev
+	})
+	e.resume(p)
 }
 
 // Engine returns the engine this process belongs to.
@@ -76,8 +83,7 @@ func (p *Proc) park() {
 	if p.e.cur != p {
 		panic("sim: " + p.name + " parking while not the running process")
 	}
-	p.e.yielded <- struct{}{}
-	<-p.wakeCh
+	p.yield(struct{}{})
 }
 
 // suspend parks the process with no scheduled wakeup; some other component

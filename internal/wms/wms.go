@@ -8,6 +8,7 @@ package wms
 
 import (
 	"fmt"
+	"math"
 
 	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/eventlog"
@@ -191,6 +192,19 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 	}
 	if opts.StartLatency == 0 {
 		opts.StartLatency = DefaultStartLatency
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"FailureRate", opts.FailureRate},
+		{"OutageRate", opts.OutageRate},
+		{"OutageDuration", opts.OutageDuration},
+		{"CheckpointInterval", opts.CheckpointInterval},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("wms: %s must be finite (got %g)", f.name, f.v)
+		}
 	}
 	if opts.CheckpointInterval < 0 {
 		return nil, fmt.Errorf("wms: negative checkpoint interval %g", opts.CheckpointInterval)
