@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -400,4 +401,102 @@ func TestGoldenMultiSeedDeterminism(t *testing.T) {
 			t.Errorf("%s: replicates produced zero makespan spread: %+v", cfgs[i].Storage, rep.Makespan)
 		}
 	}
+}
+
+// TestGoldenStudies pins the bytes of the three paired-baseline studies:
+// the scaled-down render of each (two apps x two storages, two seeds so
+// the ± bands and paired-delta whiskers render) and the AblationSweep
+// labels of the paper-scale failures, outages and scale ablations. The
+// renders exercise every study option that reaches a cell (seeds,
+// retries, durations, checkpoint interval, an unsorted ladder with a
+// duplicate), so a refactor of the study code that changes a matrix, a
+// pairing, a number format or a label fails here.
+//
+// Regenerate deliberately with:
+//
+//	go test ./internal/harness -run TestGoldenStudies -update-golden
+func TestGoldenStudies(t *testing.T) {
+	t.Parallel()
+	apps := []string{"montage", "broadband"}
+	storages := []string{"gluster-nufa", "s3"}
+	opt := SweepOptions{Seeds: 2}
+	var b bytes.Buffer
+	section := func(name, body string) {
+		fmt.Fprintf(&b, "=== %s ===\n%s", name, body)
+	}
+	_, out, err := FailureStudy(FailureStudyOptions{
+		Rates: []float64{0.3, 0.1, 0.3}, MaxRetries: 5, FailureSeed: 77,
+		Apps: apps, Storages: storages, Workers: 2, Build: buildSmallApp, Sweep: opt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	section("failures", out)
+	_, out, err = OutageStudy(OutageStudyOptions{
+		Rates: []float64{20}, Duration: 60, CheckpointInterval: 15, OutageSeed: 88,
+		Apps: apps, Storages: storages, Workers: 2, Build: buildSmallApp, Sweep: opt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	section("outages", out)
+	_, out, err = ScaleStudy(ScaleStudyOptions{
+		Sizes: []int{4, 2, 4},
+		Apps:  apps, Storages: storages, Build: buildSmallApp, Sweep: opt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	section("scale", out)
+	if !testing.Short() {
+		for _, name := range []string{"failures", "outages", "scale"} {
+			results, _, err := Ablation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var labels strings.Builder
+			for _, r := range results {
+				labels.WriteString(r.Label)
+				labels.WriteByte('\n')
+			}
+			section("ablation labels: "+name, labels.String())
+		}
+	}
+	got := b.Bytes()
+	path := filepath.Join("testdata", "studies.golden")
+	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("rewriting studies.golden needs the paper-scale ablations; drop -short")
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden studies (run with -update-golden to create): %v", err)
+	}
+	if testing.Short() {
+		// The ablation-label sections follow the renders; -short checks
+		// the renders alone.
+		if i := bytes.Index(want, []byte("=== ablation labels: ")); i >= 0 {
+			want = want[:i]
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("study output drifted from %s:\n%s", path, firstLineDiff(string(want), string(got)))
+	}
+}
+
+// firstLineDiff reports the first line where two texts diverge.
+func firstLineDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		if i >= len(wl) || i >= len(gl) || wl[i] != gl[i] {
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, at(gl, i), at(wl, i))
+		}
+	}
+	return "texts equal"
 }
