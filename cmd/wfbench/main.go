@@ -147,12 +147,11 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 		o := harness.FailureStudyOptions{
 			MaxRetries:  spec.MaxRetries,
 			FailureSeed: spec.FailureSeed,
-			Sweep:       opt,
 		}
 		if spec.FailureRate > 0 {
 			o.Rates = []float64{spec.FailureRate}
 		}
-		_, out, err := harness.FailureStudy(o)
+		_, out, err := harness.RunStudy(o, harness.StudyMatrix{Sweep: opt})
 		if err != nil {
 			return err
 		}
@@ -167,12 +166,11 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 			Duration:           spec.OutageDuration,
 			OutageSeed:         spec.OutageSeed,
 			CheckpointInterval: spec.CheckpointInterval,
-			Sweep:              opt,
 		}
 		if spec.OutageRate > 0 {
 			o.Rates = []float64{spec.OutageRate}
 		}
-		_, out, err := harness.OutageStudy(o)
+		_, out, err := harness.RunStudy(o, harness.StudyMatrix{Sweep: opt})
 		if err != nil {
 			return err
 		}

@@ -29,59 +29,16 @@ func Ablation(name string) ([]AblationResult, string, error) {
 // cells shared with the figure grids (most ablations reuse grid
 // configurations) come from the process-wide cache.
 func AblationSweep(name string, opt SweepOptions) ([]AblationResult, string, error) {
-	if name == "failures" {
-		// The failure-sensitivity study has its own matrix (rates) and
-		// renderer (baseline-paired inflation, delta charts); it honours
-		// opt.Seeds where the fixed-cell ablations are single-seed.
-		cells, out, err := FailureStudy(FailureStudyOptions{Sweep: opt})
+	if o, ok := studyAblations[name]; ok {
+		s := o.study()
+		cells, out, err := s.run(StudyMatrix{Sweep: opt})
 		if err != nil {
 			return nil, "", err
 		}
 		results := make([]AblationResult, len(cells))
 		for i, c := range cells {
 			results[i] = AblationResult{
-				Label:  fmt.Sprintf("%s/%s r=%g", c.Config.App, c.Config.Storage, c.Config.FailureRate),
-				Result: c.Rep.Runs[0],
-			}
-		}
-		return results, out, nil
-	}
-	if name == "outages" {
-		// Likewise for the correlated-outage study (rate ladder crossed
-		// with the checkpoint/restart arm).
-		cells, out, err := OutageStudy(OutageStudyOptions{Sweep: opt})
-		if err != nil {
-			return nil, "", err
-		}
-		results := make([]AblationResult, len(cells))
-		for i, c := range cells {
-			ckpt := ""
-			if c.Checkpointed() {
-				ckpt = " +ckpt"
-			}
-			results[i] = AblationResult{
-				Label:  fmt.Sprintf("%s/%s r=%g%s", c.Config.App, c.Config.Storage, c.Config.OutageRate, ckpt),
-				Result: c.Rep.Runs[0],
-			}
-		}
-		return results, out, nil
-	}
-	if name == "scale" || name == "scale1000" {
-		// The large-matrix scale study: cluster sizes beyond the paper's
-		// 8 nodes, paired against the 8-node baseline; honours opt.Seeds.
-		// The scale1000 variant jumps straight to 1000 nodes.
-		sopt := ScaleStudyOptions{Sweep: opt}
-		if name == "scale1000" {
-			sopt.Sizes = []int{8, 1000}
-		}
-		cells, out, err := ScaleStudy(sopt)
-		if err != nil {
-			return nil, "", err
-		}
-		results := make([]AblationResult, len(cells))
-		for i, c := range cells {
-			results[i] = AblationResult{
-				Label:  fmt.Sprintf("%s/%s n=%d", c.Config.App, c.Config.Storage, c.Config.Workers),
+				Label:  c.Config.App + "/" + c.Config.Storage + " " + s.armLabel(c.Config),
 				Result: c.Rep.Runs[0],
 			}
 		}
@@ -101,6 +58,18 @@ func AblationSweep(name string, opt SweepOptions) ([]AblationResult, string, err
 // AblationNames lists the available ablation experiments.
 func AblationNames() []string {
 	return []string{"xtreemfs", "s3cache", "locality", "nfssync", "nfsserver", "diskinit", "workertype", "failures", "outages", "scale", "scale1000"}
+}
+
+// studyAblations declares the paired-baseline studies run as
+// ablations. Unlike the fixed-cell ablations they have their own matrix
+// and renderer (baseline-paired metrics, per-application charts) and
+// honour opt.Seeds. The scale1000 variant jumps straight from the
+// paper's largest cluster to 1000 nodes.
+var studyAblations = map[string]StudyOptions{
+	"failures":  FailureStudyOptions{},
+	"outages":   OutageStudyOptions{},
+	"scale":     ScaleStudyOptions{},
+	"scale1000": ScaleStudyOptions{Sizes: []int{8, 1000}},
 }
 
 // ablation declares one experiment: a labelled list of cells plus an

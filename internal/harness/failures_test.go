@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,11 +131,9 @@ func TestSweepSeedsPairsFailureReplicates(t *testing.T) {
 // rows and error bars.
 func TestFailureStudySmoke(t *testing.T) {
 	t.Parallel()
-	cells, out, err := FailureStudy(FailureStudyOptions{
-		Rates:    []float64{0.3},
+	cells, out, err := RunStudy(FailureStudyOptions{Rates: []float64{0.3}, Workers: 2}, StudyMatrix{
 		Apps:     []string{"montage", "broadband"},
 		Storages: []string{"gluster-nufa", "s3"},
-		Workers:  2,
 		Build:    buildSmallApp,
 		Sweep:    SweepOptions{Seeds: 2},
 	})
@@ -178,11 +177,9 @@ func TestFailureStudySmoke(t *testing.T) {
 func TestFailureStudyDeterministic(t *testing.T) {
 	t.Parallel()
 	render := func(parallel int) string {
-		_, out, err := FailureStudy(FailureStudyOptions{
-			Rates:    []float64{0.2},
+		_, out, err := RunStudy(FailureStudyOptions{Rates: []float64{0.2}, Workers: 2}, StudyMatrix{
 			Apps:     []string{"epigenome"},
 			Storages: []string{"gluster-nufa", "pvfs"},
-			Workers:  2,
 			Build:    buildSmallApp,
 			Sweep:    SweepOptions{Seeds: 3, Parallel: parallel, NoMemo: true},
 		})
@@ -199,35 +196,35 @@ func TestFailureStudyDeterministic(t *testing.T) {
 
 // TestFailureStudyDefaults pins the zero-value study configuration: the
 // canonical rate ladder (a regression — an empty Rates once normalized
-// to baseline-only), the paper's three applications and the studied
-// storage systems.
+// to baseline-only) and the studied storage systems.
 func TestFailureStudyDefaults(t *testing.T) {
 	t.Parallel()
-	o := FailureStudyOptions{}
-	o.normalize()
-	if len(o.Rates) != len(FailureRates()) {
-		t.Errorf("zero-value Rates = %v, want the canonical ladder %v", o.Rates, FailureRates())
+	s := FailureStudyOptions{}.study()
+	if len(s.arms) != len(FailureRates()) {
+		t.Errorf("zero-value arms = %+v, want the canonical ladder %v", s.arms, FailureRates())
 	}
-	if len(o.Apps) != 3 || len(o.Storages) != len(FailureStudyStorages()) {
-		t.Errorf("zero-value matrix = %v x %v", o.Apps, o.Storages)
+	if !slices.Equal(s.storages, FailureStudyStorages()) {
+		t.Errorf("zero-value storages = %v", s.storages)
 	}
-	if o.Workers != DefaultFailureStudyWorkers {
-		t.Errorf("zero-value Workers = %d", o.Workers)
+	for _, arm := range s.arms {
+		if arm.Workers != DefaultFailureStudyWorkers {
+			t.Errorf("zero-value Workers = %d", arm.Workers)
+		}
 	}
 }
 
 // TestNormalizeRates pins the ladder normalization: 0 anchors the
-// baseline, duplicates collapse, order is ascending.
+// baseline, duplicates collapse, order is ascending, and the caller's
+// slice is left as it was.
 func TestNormalizeRates(t *testing.T) {
 	t.Parallel()
-	got := normalizeRates([]float64{0.4, 0.1, 0.1, 0, 0.05})
+	in := []float64{0.4, 0.1, 0.1, 0, 0.05}
+	got := normalizeLadder(in, FailureRates(), true)
 	want := []float64{0, 0.05, 0.1, 0.4}
-	if len(got) != len(want) {
-		t.Fatalf("normalizeRates = %v, want %v", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("normalizeLadder = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("normalizeRates = %v, want %v", got, want)
-		}
+	if !slices.Equal(in, []float64{0.4, 0.1, 0.1, 0, 0.05}) {
+		t.Errorf("normalizeLadder wrote into its input: %v", in)
 	}
 }

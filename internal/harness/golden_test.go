@@ -417,33 +417,31 @@ func TestGoldenMultiSeedDeterminism(t *testing.T) {
 //	go test ./internal/harness -run TestGoldenStudies -update-golden
 func TestGoldenStudies(t *testing.T) {
 	t.Parallel()
-	apps := []string{"montage", "broadband"}
-	storages := []string{"gluster-nufa", "s3"}
-	opt := SweepOptions{Seeds: 2}
+	matrix := StudyMatrix{
+		Apps:     []string{"montage", "broadband"},
+		Storages: []string{"gluster-nufa", "s3"},
+		Build:    buildSmallApp,
+		Sweep:    SweepOptions{Seeds: 2},
+	}
 	var b bytes.Buffer
 	section := func(name, body string) {
 		fmt.Fprintf(&b, "=== %s ===\n%s", name, body)
 	}
-	_, out, err := FailureStudy(FailureStudyOptions{
-		Rates: []float64{0.3, 0.1, 0.3}, MaxRetries: 5, FailureSeed: 77,
-		Apps: apps, Storages: storages, Workers: 2, Build: buildSmallApp, Sweep: opt,
-	})
+	_, out, err := RunStudy(FailureStudyOptions{
+		Rates: []float64{0.3, 0.1, 0.3}, MaxRetries: 5, FailureSeed: 77, Workers: 2,
+	}, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	section("failures", out)
-	_, out, err = OutageStudy(OutageStudyOptions{
-		Rates: []float64{20}, Duration: 60, CheckpointInterval: 15, OutageSeed: 88,
-		Apps: apps, Storages: storages, Workers: 2, Build: buildSmallApp, Sweep: opt,
-	})
+	_, out, err = RunStudy(OutageStudyOptions{
+		Rates: []float64{20}, Duration: 60, CheckpointInterval: 15, OutageSeed: 88, Workers: 2,
+	}, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	section("outages", out)
-	_, out, err = ScaleStudy(ScaleStudyOptions{
-		Sizes: []int{4, 2, 4},
-		Apps:  apps, Storages: storages, Build: buildSmallApp, Sweep: opt,
-	})
+	_, out, err = RunStudy(ScaleStudyOptions{Sizes: []int{4, 2, 4}}, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}

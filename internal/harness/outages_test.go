@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -70,15 +71,16 @@ func TestSweepSeedsPairsOutageReplicates(t *testing.T) {
 // rendering must include baseline rows and error bars.
 func TestOutageStudySmoke(t *testing.T) {
 	t.Parallel()
-	cells, out, err := OutageStudy(OutageStudyOptions{
+	cells, out, err := RunStudy(OutageStudyOptions{
 		Rates:              []float64{20},
 		Duration:           60,
 		CheckpointInterval: 15,
-		Apps:               []string{"montage", "broadband"},
-		Storages:           []string{"gluster-nufa", "s3"},
 		Workers:            2,
-		Build:              buildSmallApp,
-		Sweep:              SweepOptions{Seeds: 2},
+	}, StudyMatrix{
+		Apps:     []string{"montage", "broadband"},
+		Storages: []string{"gluster-nufa", "s3"},
+		Build:    buildSmallApp,
+		Sweep:    SweepOptions{Seeds: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +90,7 @@ func TestOutageStudySmoke(t *testing.T) {
 	}
 	sawCkptBytes := false
 	for _, c := range cells {
-		if c.Config.OutageRate == 0 && !c.Checkpointed() {
+		if c.IsBaseline() {
 			if k := c.Rep.OutageKills.Mean; k != 0 {
 				t.Errorf("%s/%s baseline reports %.1f kills", c.Config.App, c.Config.Storage, k)
 			}
@@ -104,7 +106,7 @@ func TestOutageStudySmoke(t *testing.T) {
 					c.Config.App, c.Config.Storage, c.MakespanInflation()*100)
 			}
 		}
-		if c.Checkpointed() && c.Rep.CheckpointBytes.Mean > 0 {
+		if c.Config.CheckpointInterval > 0 && c.Rep.CheckpointBytes.Mean > 0 {
 			sawCkptBytes = true
 		}
 	}
@@ -124,15 +126,16 @@ func TestOutageStudySmoke(t *testing.T) {
 func TestOutageStudyDeterministic(t *testing.T) {
 	t.Parallel()
 	render := func(parallel int) string {
-		_, out, err := OutageStudy(OutageStudyOptions{
+		_, out, err := RunStudy(OutageStudyOptions{
 			Rates:              []float64{10},
 			Duration:           60,
 			CheckpointInterval: 20,
-			Apps:               []string{"epigenome"},
-			Storages:           []string{"gluster-nufa", "pvfs"},
 			Workers:            2,
-			Build:              buildSmallApp,
-			Sweep:              SweepOptions{Seeds: 3, Parallel: parallel, NoMemo: true},
+		}, StudyMatrix{
+			Apps:     []string{"epigenome"},
+			Storages: []string{"gluster-nufa", "pvfs"},
+			Build:    buildSmallApp,
+			Sweep:    SweepOptions{Seeds: 3, Parallel: parallel, NoMemo: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -148,18 +151,22 @@ func TestOutageStudyDeterministic(t *testing.T) {
 // TestOutageStudyDefaults pins the zero-value study configuration.
 func TestOutageStudyDefaults(t *testing.T) {
 	t.Parallel()
-	o := OutageStudyOptions{}
-	o.normalize()
-	if len(o.Rates) != len(OutageRates()) {
-		t.Errorf("zero-value Rates = %v, want the canonical ladder %v", o.Rates, OutageRates())
+	s := OutageStudyOptions{}.study()
+	if len(s.arms) != 2*len(OutageRates()) {
+		t.Errorf("zero-value arms = %+v, want the canonical ladder %v with and without checkpointing", s.arms, OutageRates())
 	}
-	if len(o.Apps) != 3 || len(o.Storages) != len(OutageStudyStorages()) {
-		t.Errorf("zero-value matrix = %v x %v", o.Apps, o.Storages)
+	if !slices.Equal(s.storages, OutageStudyStorages()) {
+		t.Errorf("zero-value storages = %v", s.storages)
 	}
-	if o.Workers != DefaultOutageStudyWorkers {
-		t.Errorf("zero-value Workers = %d", o.Workers)
-	}
-	if o.Duration != DefaultOutageStudyDuration || o.CheckpointInterval != DefaultOutageStudyCheckpoint {
-		t.Errorf("zero-value duration/interval = %g/%g", o.Duration, o.CheckpointInterval)
+	for _, arm := range s.arms {
+		if arm.Workers != DefaultOutageStudyWorkers {
+			t.Errorf("zero-value Workers = %d", arm.Workers)
+		}
+		if arm.OutageRate > 0 && arm.OutageDuration != DefaultOutageStudyDuration {
+			t.Errorf("zero-value duration = %g", arm.OutageDuration)
+		}
+		if arm.CheckpointInterval != 0 && arm.CheckpointInterval != DefaultOutageStudyCheckpoint {
+			t.Errorf("zero-value interval = %g", arm.CheckpointInterval)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,13 +11,11 @@ import (
 // rendered table and figures.
 func TestScaleStudySmall(t *testing.T) {
 	t.Parallel()
-	o := ScaleStudyOptions{
-		Sizes:    []int{2, 4, 8},
+	cells, out, err := RunStudy(ScaleStudyOptions{Sizes: []int{2, 4, 8}}, StudyMatrix{
 		Apps:     []string{"montage"},
 		Storages: []string{"gluster-nufa", "pvfs"},
 		Build:    buildSmallApp,
-	}
-	cells, out, err := ScaleStudy(o)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func TestScaleStudySmall(t *testing.T) {
 		// Parallel efficiency can exceed 1 only through measurement
 		// artifacts the small instances don't have; a 4x larger cluster
 		// must not be reported as super-linear.
-		if eff := c.Efficiency(2); eff < 0 || eff > 1.5 {
+		if eff := c.Efficiency(); eff < 0 || eff > 1.5 {
 			t.Errorf("cell %d: implausible efficiency %g", i, eff)
 		}
 	}
@@ -54,8 +53,7 @@ func TestScaleStudySmall(t *testing.T) {
 func TestScaleStudyDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	run := func(parallel int) string {
-		_, out, err := ScaleStudy(ScaleStudyOptions{
-			Sizes:    []int{2, 4},
+		_, out, err := RunStudy(ScaleStudyOptions{Sizes: []int{2, 4}}, StudyMatrix{
 			Apps:     []string{"montage"},
 			Storages: []string{"gluster-nufa"},
 			Build:    buildSmallApp,
@@ -82,5 +80,31 @@ func TestScaleAblationRegistered(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("ablation list missing \"scale\"")
+	}
+}
+
+// TestScaleStudyLeavesCallerSizes pins that the study normalizes a copy
+// of its ladder: the caller's Sizes slice keeps its order and its
+// duplicate, while the study still runs the sorted, deduplicated ladder.
+func TestScaleStudyLeavesCallerSizes(t *testing.T) {
+	t.Parallel()
+	sizes := []int{8, 2, 2, 4}
+	cells, _, err := RunStudy(ScaleStudyOptions{Sizes: sizes}, StudyMatrix{
+		Apps:     []string{"epigenome"},
+		Storages: []string{"s3"},
+		Build:    buildSmallApp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{8, 2, 2, 4}; !slices.Equal(sizes, want) {
+		t.Errorf("ScaleStudy rewrote the caller's Sizes to %v, want %v", sizes, want)
+	}
+	var ran []int
+	for _, c := range cells {
+		ran = append(ran, c.Config.Workers)
+	}
+	if want := []int{2, 4, 8}; !slices.Equal(ran, want) {
+		t.Errorf("study ran sizes %v, want %v", ran, want)
 	}
 }

@@ -222,11 +222,8 @@ func TestStudySeedOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two scaled-down studies")
 	}
-	fcells, _, err := FailureStudy(FailureStudyOptions{
-		Rates: []float64{0.2}, FailureSeed: 77,
-		Apps: []string{"montage"}, Storages: []string{"gluster-nufa"}, Workers: 2,
-		Build: buildSmallApp,
-	})
+	matrix := StudyMatrix{Apps: []string{"montage"}, Storages: []string{"gluster-nufa"}, Build: buildSmallApp}
+	fcells, _, err := RunStudy(FailureStudyOptions{Rates: []float64{0.2}, FailureSeed: 77, Workers: 2}, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +235,7 @@ func TestStudySeedOptions(t *testing.T) {
 			t.Errorf("baseline unexpectedly reseeded: %+v", c.Config)
 		}
 	}
-	ocells, _, err := OutageStudy(OutageStudyOptions{
-		Rates: []float64{2}, OutageSeed: 88,
-		Apps: []string{"montage"}, Storages: []string{"gluster-nufa"}, Workers: 2,
-		Build: buildSmallApp,
-	})
+	ocells, _, err := RunStudy(OutageStudyOptions{Rates: []float64{2}, OutageSeed: 88, Workers: 2}, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
