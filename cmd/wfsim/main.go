@@ -98,6 +98,9 @@ func run(spec *scenario.Spec, specPath, emitSpec, cacheDir string, seeds, parall
 			seeds = e.Seeds
 		}
 	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	if emitSpec != "" {
 		return writeSpec(*spec, seeds, emitSpec)
 	}

@@ -47,9 +47,7 @@ import (
 // application (or custom workflow), storage system, cluster size — plus
 // the most common knobs. Everything else (worker instance types,
 // failure injection, correlated outages, checkpointing, seed control)
-// composes on top via functional options; the flat knob fields below
-// beyond that core are kept as a thin deprecated shim for existing
-// callers and fold into the same scenario spec the options mutate.
+// composes on top via functional options.
 type Config struct {
 	// Application is "montage", "broadband" or "epigenome" (the paper's
 	// three workloads, generated at paper scale), unless Workflow is set.
@@ -69,29 +67,6 @@ type Config struct {
 	// Seed varies provisioning jitter; zero uses a fixed default, keeping
 	// runs bit-for-bit reproducible.
 	Seed uint64
-	// FailureRate injects i.i.d. transient task failures with this
-	// per-attempt probability; zero (the paper's setting) disables them.
-	//
-	// Deprecated: prefer WithFailures, which also exposes the retry
-	// bound.
-	FailureRate float64
-	// OutageRate injects correlated node outages at this expected rate
-	// per node per hour: whole nodes drop offline, their in-flight tasks
-	// are killed and retried, and data they own is unreadable until
-	// recovery. Zero disables outages.
-	//
-	// Deprecated: prefer WithOutages.
-	OutageRate float64
-	// OutageDuration is the mean outage length in seconds (0 = default).
-	//
-	// Deprecated: prefer WithOutages.
-	OutageDuration float64
-	// CheckpointInterval makes tasks checkpoint every interval seconds of
-	// computation (real storage traffic) and resume killed attempts from
-	// the last checkpoint. Zero disables checkpointing.
-	//
-	// Deprecated: prefer WithCheckpointing.
-	CheckpointInterval float64
 }
 
 // Option composes one scenario knob on top of a base Config. Options
@@ -179,16 +154,12 @@ func WithInitializedDisks(bytes float64) Option {
 // runConfig translates the facade config plus options for the harness.
 func (cfg Config) runConfig(opts ...Option) harness.RunConfig {
 	rc := harness.RunConfig{
-		App:                cfg.Application,
-		Workflow:           cfg.Workflow,
-		Storage:            cfg.Storage,
-		Workers:            cfg.Workers,
-		DataAware:          cfg.DataAware,
-		Seed:               cfg.Seed,
-		FailureRate:        cfg.FailureRate,
-		OutageRate:         cfg.OutageRate,
-		OutageDuration:     cfg.OutageDuration,
-		CheckpointInterval: cfg.CheckpointInterval,
+		App:       cfg.Application,
+		Workflow:  cfg.Workflow,
+		Storage:   cfg.Storage,
+		Workers:   cfg.Workers,
+		DataAware: cfg.DataAware,
+		Seed:      cfg.Seed,
 	}
 	if len(opts) > 0 {
 		spec := rc.Spec()
@@ -415,24 +386,24 @@ func ParseSpec(data []byte) (Experiment, error) {
 		// and override them after parsing); only the fields the flat
 		// Config cannot hold ride in as an option.
 		Base: Config{
-			Application:        base.App,
-			Storage:            base.Storage,
-			Workers:            base.Workers,
-			DataAware:          base.DataAware,
-			Seed:               base.Seed,
-			FailureRate:        base.FailureRate,
-			OutageRate:         base.OutageRate,
-			OutageDuration:     base.OutageDuration,
-			CheckpointInterval: base.CheckpointInterval,
+			Application: base.App,
+			Storage:     base.Storage,
+			Workers:     base.Workers,
+			DataAware:   base.DataAware,
+			Seed:        base.Seed,
 		},
 		Options: []Option{{func(s *scenario.Spec) {
 			s.WorkerType = base.WorkerType
 			s.AppSeed = base.AppSeed
 			s.InitializeDisks = base.InitializeDisks
 			s.InitializeBytes = base.InitializeBytes
+			s.FailureRate = base.FailureRate
 			s.MaxRetries = base.MaxRetries
 			s.FailureSeed = base.FailureSeed
+			s.OutageRate = base.OutageRate
+			s.OutageDuration = base.OutageDuration
 			s.OutageSeed = base.OutageSeed
+			s.CheckpointInterval = base.CheckpointInterval
 		}}},
 		Axes:  axes,
 		Seeds: se.Seeds,

@@ -1,6 +1,7 @@
 package ec2wfsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -49,17 +50,6 @@ func TestFacadeOutagesAndCheckpoints(t *testing.T) {
 	}
 	if res.MakespanSeconds <= 0 {
 		t.Error("non-positive makespan")
-	}
-	// The options must compose identically to the deprecated flat shim.
-	shim, err := Run(Config{
-		Workflow: mustMontage(t), Storage: "gluster-nufa", Workers: 2,
-		OutageRate: 20, OutageDuration: 60, CheckpointInterval: 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shim.MakespanSeconds != res.MakespanSeconds || shim.OutageKills != res.OutageKills {
-		t.Errorf("flat Config shim diverged from options: %+v vs %+v", shim, res)
 	}
 	clean, err := Run(Config{Workflow: mustMontage(t), Storage: "gluster-nufa", Workers: 2})
 	if err != nil {
@@ -266,27 +256,48 @@ func TestFacadeSpecRoundTrip(t *testing.T) {
 		Axes:    []Axis{VaryWorkers(2, 4), VaryOutageRates(0, 1)},
 		Seeds:   4,
 	}
-	data, err := e.MarshalSpec()
-	if err != nil {
-		t.Fatal(err)
+	// The failure, outage and checkpoint knobs have no Config field, so a
+	// parsed base carries them in its option.
+	knobs := Experiment{
+		Base:    Config{Application: "epigenome", Storage: "pvfs", Workers: 4},
+		Options: []Option{WithFailures(0.2, 0), WithOutages(1.5, 90), WithCheckpointing(60)},
 	}
-	back, err := ParseSpec(data)
-	if err != nil {
-		t.Fatal(err)
+	var back Experiment // e's parsed form after the loop, read below
+	for _, in := range []Experiment{knobs, e} {
+		data, err := in.MarshalSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err = ParseSpec(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := back.MarshalSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("parsed spec re-marshals differently:\n got %s\nwant %s", again, data)
+		}
+		want, err := in.cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("spec round trip changed the grid:\n got %+v\nwant %+v", got, want)
+		}
+		if back.Seeds != in.Seeds {
+			t.Errorf("Seeds = %d, want %d", back.Seeds, in.Seeds)
+		}
 	}
-	want, err := e.cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("spec round trip changed the grid:\n got %+v\nwant %+v", got, want)
-	}
-	if back.Seeds != e.Seeds {
-		t.Errorf("Seeds = %d, want %d", back.Seeds, e.Seeds)
+	for _, field := range []string{`"failure_rate"`, `"outage_rate"`, `"outage_duration"`, `"checkpoint_interval"`} {
+		if data, _ := knobs.MarshalSpec(); !bytes.Contains(data, []byte(field)) {
+			t.Errorf("knob spec does not set %s:\n%s", field, data)
+		}
 	}
 	// The parsed base is readable and overridable through Base: Config
 	// fields must not be trapped inside the option.

@@ -382,11 +382,13 @@ type study struct {
 	charts []studyChart
 }
 
+// studyColumn is one study-specific column of the study table.
 type studyColumn struct {
 	header string
 	value  func(StudyCell) string
 }
 
+// studyChart is one per-application bar chart, a bar per included cell.
 type studyChart struct {
 	title   string // follows "<Application>: "
 	unit    string
@@ -394,7 +396,7 @@ type studyChart struct {
 	value   func(StudyCell) sweep.Summary
 }
 
-// Columns and charts more than one study draws.
+// Columns more than one study draws (deltaChart below is the shared chart).
 var (
 	makespanColumn   = studyColumn{"Makespan (s)", func(c StudyCell) string { return fmtPM(c.Rep.Makespan, 0) }}
 	costHourColumn   = studyColumn{"Cost/hr", func(c StudyCell) string { return units.USD(c.Rep.CostHour.Mean) }}

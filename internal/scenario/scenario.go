@@ -128,6 +128,11 @@ func ValidateWorkerType(name string) error {
 	return nil
 }
 
+// MaxWorkers bounds a spec's cluster size. It admits the 1000-node
+// scale study with a tenfold margin, and stops a mistyped node count
+// (-nodes 100000) before it builds a cluster that size.
+const MaxWorkers = 10000
+
 // Validate checks every catalog-typed field of the spec, so a typo in a
 // spec file fails with the valid names before any simulation starts.
 // An empty App passes here — it means "the caller supplies a workflow",
@@ -147,6 +152,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Workers <= 0 {
 		return fmt.Errorf("scenario: workers must be positive (got %d)", s.Workers)
+	}
+	if s.Workers > MaxWorkers {
+		return fmt.Errorf("scenario: workers must be at most %d (got %d)", MaxWorkers, s.Workers)
 	}
 	for _, f := range [...]struct {
 		name string

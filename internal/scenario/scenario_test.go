@@ -90,6 +90,36 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 }
 
+// TestValidateWorkersBound pins the cluster-size bound: the shipped
+// 1000-node study and a 10000-node one validate, a mistyped node count
+// fails naming the field, in a spec and in an expanded experiment. No
+// cell runs.
+func TestValidateWorkersBound(t *testing.T) {
+	for _, n := range []int{1, 1000, 10000, MaxWorkers} {
+		s := Spec{App: "montage", Storage: "pvfs", Workers: n}
+		if err := s.Validate(); err != nil {
+			t.Errorf("workers=%d rejected: %v", n, err)
+		}
+	}
+	for _, n := range []int{MaxWorkers + 1, 100000} {
+		s := Spec{App: "montage", Storage: "pvfs", Workers: n}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "workers") {
+			t.Errorf("workers=%d: Validate() = %v, want an error naming workers", n, err)
+		}
+	}
+	e := Experiment{
+		Base: Spec{App: "montage", Storage: "pvfs", Workers: 8},
+		Axes: []Axis{{Field: "workers", Values: []any{8, 1000}}},
+	}
+	if _, err := e.Cells(); err != nil {
+		t.Errorf("8/1000-node experiment rejected: %v", err)
+	}
+	e.Axes[0].Values = []any{8, 100000.0} // float from JSON
+	if _, err := e.Cells(); err == nil || !strings.Contains(err.Error(), "workers") {
+		t.Errorf("Cells() with a 100000-node axis = %v, want an error naming workers", err)
+	}
+}
+
 func TestExperimentCells(t *testing.T) {
 	e := Experiment{
 		Base: Spec{App: "montage", Storage: "nfs", Workers: 1},
