@@ -146,11 +146,15 @@ func run(spec *scenario.Spec, specPath, emitSpec, cacheDir string, seeds, parall
 	}
 	printResult(cfg, res)
 	if gantt {
+		wt, err := cluster.TypeByName(cfg.WorkerType)
+		if err != nil {
+			return err
+		}
 		tr := trace.New(res.Spans, res.Makespan)
 		fmt.Println()
 		fmt.Print(tr.Gantt(100))
 		fmt.Println()
-		fmt.Print(tr.Summary(cluster.C1XLarge().Cores))
+		fmt.Print(tr.Summary(wt.Cores))
 	}
 	if csvPath != "" {
 		f, err := os.Create(csvPath)

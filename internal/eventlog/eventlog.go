@@ -6,8 +6,8 @@
 //
 // The format is the simulator's audit trail. A log is written once,
 // forward-only, while the run executes (the Writer implements Recorder,
-// the zero-cost-when-nil hook the wms/storage layers emit through), and
-// is consumed three ways: replay verification re-runs the spec in the
+// the optional hook the wms/storage layers emit through), and is
+// consumed three ways: replay verification re-runs the spec in the
 // header and asserts the fresh stream is byte-identical (the mechanical
 // form of the determinism contract the wfvet lint reasons about
 // statically), cross-scenario reports pair two logs and explain where
@@ -162,9 +162,12 @@ type Event struct {
 }
 
 // Recorder receives events as a run executes. Emitting layers hold a
-// possibly-nil Recorder and skip the call when nil, so a run without
-// recording pays one pointer test per would-be event and allocates
-// nothing.
+// possibly-nil Recorder. The wms layer builds every event either way,
+// because its spans and counters are folds of the same stream, and
+// calls Record only when the Recorder is set; storage backends skip
+// building their cache events when it is nil. Either way an unrecorded
+// run allocates nothing for events and its result matches a recorded
+// run's.
 type Recorder interface {
 	Record(Event)
 }

@@ -9,6 +9,7 @@ import (
 	"ec2wfsim/internal/resultcache"
 	"ec2wfsim/internal/scenario"
 	"ec2wfsim/internal/storage"
+	"ec2wfsim/internal/wms"
 )
 
 // The persistent result cache (internal/resultcache) sits under the
@@ -25,21 +26,14 @@ import (
 // Field order is fixed by the struct, so the encoding is a pure
 // function of the result and cold-vs-warm exports are byte-identical.
 type cacheRow struct {
-	Spec            scenario.Spec  `json:"spec"`
-	Makespan        float64        `json:"makespan_s"`
-	ProvisionTime   float64        `json:"provision_s"`
-	Utilization     float64        `json:"utilization"`
-	MemoryWaits     int64          `json:"memory_waits"`
-	Failures        int64          `json:"failures"`
-	Retries         int64          `json:"retries"`
-	Outages         int64          `json:"outages"`
-	OutageKills     int64          `json:"outage_kills"`
-	LostWorkSeconds float64        `json:"lost_work_s"`
-	Checkpoints     int64          `json:"checkpoints"`
-	CheckpointBytes float64        `json:"checkpoint_bytes"`
-	Stats           storage.Stats  `json:"stats"`
-	CostHour        cost.Breakdown `json:"cost_hour"`
-	CostSecond      cost.Breakdown `json:"cost_second"`
+	Spec          scenario.Spec `json:"spec"`
+	Makespan      float64       `json:"makespan_s"`
+	ProvisionTime float64       `json:"provision_s"`
+	Utilization   float64       `json:"utilization"`
+	wms.Counters
+	Stats      storage.Stats  `json:"stats"`
+	CostHour   cost.Breakdown `json:"cost_hour"`
+	CostSecond cost.Breakdown `json:"cost_second"`
 }
 
 // CacheKey derives the persistent-store key for a configuration:
@@ -64,21 +58,14 @@ func CacheKey(cfg RunConfig) (resultcache.Key, bool) {
 func encodeRow(r *RunResult) ([]byte, error) {
 	spec := r.Config.Spec()
 	return json.Marshal(cacheRow{
-		Spec:            spec,
-		Makespan:        r.Makespan,
-		ProvisionTime:   r.ProvisionTime,
-		Utilization:     r.Utilization,
-		MemoryWaits:     r.MemoryWaits,
-		Failures:        r.Failures,
-		Retries:         r.Retries,
-		Outages:         r.Outages,
-		OutageKills:     r.OutageKills,
-		LostWorkSeconds: r.LostWorkSeconds,
-		Checkpoints:     r.Checkpoints,
-		CheckpointBytes: r.CheckpointBytes,
-		Stats:           r.Stats,
-		CostHour:        r.CostHour,
-		CostSecond:      r.CostSecond,
+		Spec:          spec,
+		Makespan:      r.Makespan,
+		ProvisionTime: r.ProvisionTime,
+		Utilization:   r.Utilization,
+		Counters:      r.Counters,
+		Stats:         r.Stats,
+		CostHour:      r.CostHour,
+		CostSecond:    r.CostSecond,
 	})
 }
 
@@ -98,21 +85,14 @@ func decodeRow(data []byte, cfg RunConfig, key resultcache.Key) (*RunResult, err
 		return nil, fmt.Errorf("harness: cached row spec renders key %q, want %q", got, key.Cell)
 	}
 	return &RunResult{
-		Config:          cfg,
-		Makespan:        row.Makespan,
-		ProvisionTime:   row.ProvisionTime,
-		Utilization:     row.Utilization,
-		MemoryWaits:     row.MemoryWaits,
-		Failures:        row.Failures,
-		Retries:         row.Retries,
-		Outages:         row.Outages,
-		OutageKills:     row.OutageKills,
-		LostWorkSeconds: row.LostWorkSeconds,
-		Checkpoints:     row.Checkpoints,
-		CheckpointBytes: row.CheckpointBytes,
-		Stats:           row.Stats,
-		CostHour:        row.CostHour,
-		CostSecond:      row.CostSecond,
+		Config:        cfg,
+		Makespan:      row.Makespan,
+		ProvisionTime: row.ProvisionTime,
+		Utilization:   row.Utilization,
+		Counters:      row.Counters,
+		Stats:         row.Stats,
+		CostHour:      row.CostHour,
+		CostSecond:    row.CostSecond,
 	}, nil
 }
 

@@ -144,24 +144,11 @@ type RunResult struct {
 	Makespan      float64
 	ProvisionTime float64
 	Utilization   float64
-	MemoryWaits   int64
-	// Failures counts injected transient failures (zero when FailureRate
-	// is 0); Retries counts all re-executions — injected failures plus
-	// outage kills.
-	Failures int64
-	Retries  int64
-	// Outages and OutageKills count node outages and the attempts they
-	// killed; LostWorkSeconds sums slot time failed attempts burned
-	// beyond any checkpointed progress; Checkpoints/CheckpointBytes
-	// count checkpoint writes and their staged bytes.
-	Outages         int64
-	OutageKills     int64
-	LostWorkSeconds float64
-	Checkpoints     int64
-	CheckpointBytes float64
-	Stats           storage.Stats
-	CostHour        cost.Breakdown
-	CostSecond      cost.Breakdown
+	// Counters are the run's retry, outage and checkpoint counts.
+	wms.Counters
+	Stats      storage.Stats
+	CostHour   cost.Breakdown
+	CostSecond cost.Breakdown
 	// Spans records per-task execution windows for Gantt charts and
 	// trace exports.
 	Spans []wms.Span
@@ -206,6 +193,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // returns the engine's total scheduled-event count, which recorded runs
 // carry in the log trailer as a replay cross-check.
 func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
+	spec := cfg.Spec()
+	if err := spec.Validate(); err != nil {
+		return nil, 0, err
+	}
 	w := cfg.Workflow
 	if w == nil {
 		if err := scenario.ValidateApp(cfg.App); err != nil {
@@ -216,12 +207,6 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-	}
-	if err := scenario.ValidateStorage(cfg.Storage); err != nil {
-		return nil, 0, err
-	}
-	if err := scenario.ValidateWorkerType(cfg.WorkerType); err != nil {
-		return nil, 0, err
 	}
 	sys, err := storage.ByName(cfg.Storage)
 	if err != nil {
@@ -279,23 +264,16 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	}
 	st := sys.Stats()
 	return &RunResult{
-		Config:          cfg,
-		Makespan:        res.Makespan,
-		ProvisionTime:   c.ProvisionTime,
-		Utilization:     res.Utilization(c),
-		MemoryWaits:     res.MemoryWaits,
-		Failures:        res.Failures,
-		Retries:         res.Retries,
-		Outages:         res.Outages,
-		OutageKills:     res.OutageKills,
-		LostWorkSeconds: res.LostWorkSeconds,
-		Checkpoints:     res.Checkpoints,
-		CheckpointBytes: res.CheckpointBytes,
-		Stats:           st,
-		Spans:           res.Spans,
-		CostHour:        cost.Compute(c, res.Makespan, st, cost.PerHour),
-		CostSecond:      cost.Compute(c, res.Makespan, st, cost.PerSecond),
-		Cluster:         c,
+		Config:        cfg,
+		Makespan:      res.Makespan,
+		ProvisionTime: c.ProvisionTime,
+		Utilization:   res.Utilization(c),
+		Counters:      res.Counters,
+		Stats:         st,
+		Spans:         res.Spans,
+		CostHour:      cost.Compute(c, res.Makespan, st, cost.PerHour),
+		CostSecond:    cost.Compute(c, res.Makespan, st, cost.PerSecond),
+		Cluster:       c,
 	}, e.Scheduled(), nil
 }
 

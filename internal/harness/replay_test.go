@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ec2wfsim/internal/apps"
@@ -105,28 +106,44 @@ func TestReplayVerifyFailureOutageCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecordedMatchesUnrecorded pins the zero-cost contract from the
+// TestRecordedMatchesUnrecorded pins the single emission path from the
 // other side: recording must not perturb the simulation, so a recorded
-// run's result equals the plain run's bit for bit.
+// run's spans, counters and result row equal the plain run's bit for
+// bit — also when failures, outages and checkpoints fire.
 func TestRecordedMatchesUnrecorded(t *testing.T) {
 	t.Parallel()
-	cfg := RunConfig{
-		App: "montage", Storage: "gluster-nufa", Workers: 2,
-		Workflow: replayWorkflow(t),
-	}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	recorded, err := RunRecorded(cfg, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, _ := json.Marshal(plain.JSONRow())
-	rj, _ := json.Marshal(recorded.JSONRow())
-	if !bytes.Equal(pj, rj) {
-		t.Errorf("recording perturbed the run:\nplain:    %s\nrecorded: %s", pj, rj)
+	w := replayWorkflow(t)
+	for _, cfg := range []RunConfig{
+		{App: "montage", Storage: "gluster-nufa", Workers: 2, Workflow: w},
+		{
+			App: "montage", Storage: "gluster-nufa", Workers: 2, Workflow: w,
+			FailureRate: 0.2, OutageRate: 30, OutageDuration: 5,
+			CheckpointInterval: 2,
+		},
+	} {
+		plain, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		recorded, err := RunRecorded(cfg, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.FailureRate > 0 && (plain.Failures == 0 || plain.OutageKills == 0 || plain.Checkpoints == 0) {
+			t.Fatalf("test premise broken: no failure, kill or checkpoint in %+v", plain.Counters)
+		}
+		pj, _ := json.Marshal(plain.JSONRow())
+		rj, _ := json.Marshal(recorded.JSONRow())
+		if !bytes.Equal(pj, rj) {
+			t.Errorf("recording perturbed the run:\nplain:    %s\nrecorded: %s", pj, rj)
+		}
+		if plain.Counters != recorded.Counters {
+			t.Errorf("recording changed the counters:\nplain:    %+v\nrecorded: %+v", plain.Counters, recorded.Counters)
+		}
+		if !reflect.DeepEqual(plain.Spans, recorded.Spans) {
+			t.Errorf("recording changed the spans (%d plain, %d recorded)", len(plain.Spans), len(recorded.Spans))
+		}
 	}
 }
 

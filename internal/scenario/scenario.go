@@ -156,17 +156,19 @@ func (s *Spec) Validate() error {
 	if s.Workers > MaxWorkers {
 		return fmt.Errorf("scenario: workers must be at most %d (got %d)", MaxWorkers, s.Workers)
 	}
+	// Errors name both the JSON key and the Go field, so spec files and
+	// library callers (harness.Run validates every cell) can each find it.
 	for _, f := range [...]struct {
-		name string
-		v    float64
+		key, field string
+		v          float64
 	}{
-		{"failure_rate", s.FailureRate},
-		{"outage_rate", s.OutageRate},
-		{"outage_duration", s.OutageDuration},
-		{"checkpoint_interval", s.CheckpointInterval},
+		{"failure_rate", "FailureRate", s.FailureRate},
+		{"outage_rate", "OutageRate", s.OutageRate},
+		{"outage_duration", "OutageDuration", s.OutageDuration},
+		{"checkpoint_interval", "CheckpointInterval", s.CheckpointInterval},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("scenario: %s must be finite (got %g)", f.name, f.v)
+			return fmt.Errorf("scenario: %s (%s) must be finite (got %g)", f.key, f.field, f.v)
 		}
 	}
 	if s.FailureRate < 0 || s.OutageRate < 0 || s.OutageDuration < 0 || s.CheckpointInterval < 0 {

@@ -103,9 +103,10 @@ type Options struct {
 
 	// Recorder, when non-nil, receives the run's structured event stream
 	// (task attempts, transfers, outages, checkpoints, node state) as it
-	// executes. Nil — the default — disables recording: every emission
-	// site is behind one pointer test, so unrecorded runs stay on the
-	// zero-cost path and bit-identical to pre-eventlog builds.
+	// executes. The run builds every event either way and folds it into
+	// the Result's spans and counters; the Recorder only sees the same
+	// values afterwards, so recorded and unrecorded runs take one path
+	// and produce identical Results.
 	Recorder eventlog.Recorder
 }
 
@@ -122,6 +123,29 @@ type Span struct {
 	Failed   bool    // attempt was killed by failure injection or an outage
 }
 
+// Counters are one run's event counts. Every field but MemoryWaits is a
+// fold of the run's event stream (see execution.emit). The JSON names
+// are the result-cache row's field names.
+type Counters struct {
+	// MemoryWaits counts jobs that had to wait for memory admission.
+	MemoryWaits int64 `json:"memory_waits"`
+	// Failures counts injected task failures that were retried.
+	Failures int64 `json:"failures"`
+	// Retries counts re-executions (injected failures plus outage kills).
+	Retries int64 `json:"retries"`
+	// Outages counts node outages that began before the workflow
+	// completed; OutageKills counts task attempts they killed.
+	Outages     int64 `json:"outages"`
+	OutageKills int64 `json:"outage_kills"`
+	// LostWorkSeconds sums slot time burned by failed attempts that no
+	// checkpoint preserved (occupied-slot seconds minus durable progress).
+	LostWorkSeconds float64 `json:"lost_work_s"`
+	// Checkpoints and CheckpointBytes count checkpoint writes and their
+	// staged bytes (restore reads are not included in the byte count).
+	Checkpoints     int64   `json:"checkpoints"`
+	CheckpointBytes float64 `json:"checkpoint_bytes"`
+}
+
 // Result summarizes one workflow execution.
 type Result struct {
 	Makespan     float64
@@ -130,24 +154,7 @@ type Result struct {
 	// BusySeconds sums slot-occupied time across all cores; divide by
 	// makespan*cores for utilization.
 	BusySeconds float64
-	// PeakMemoryWait counts jobs that had to wait for memory admission.
-	MemoryWaits int64
-	// Failures counts injected task failures that were retried.
-	Failures int64
-	// Retries counts re-executions (injected failures plus outage kills).
-	Retries int64
-
-	// Outages counts node outages that began before the workflow
-	// completed; OutageKills counts task attempts they killed.
-	Outages     int64
-	OutageKills int64
-	// LostWorkSeconds sums slot time burned by failed attempts that no
-	// checkpoint preserved (occupied-slot seconds minus durable progress).
-	LostWorkSeconds float64
-	// Checkpoints and CheckpointBytes count checkpoint writes and their
-	// staged bytes (restore reads are not included in the byte count).
-	Checkpoints     int64
-	CheckpointBytes float64
+	Counters
 }
 
 // Completed counts successful task executions (spans not flagged
@@ -170,9 +177,26 @@ func (r *Result) Utilization(c *cluster.Cluster) float64 {
 	return r.BusySeconds / (r.Makespan * float64(c.TotalCores()))
 }
 
-// job is one schedulable unit.
+// job is one schedulable unit: a task plus the state DAGMan keeps for
+// it across re-queues.
 type job struct {
 	task *workflow.Task
+	// remain counts the task's parents that have not finished.
+	remain int
+	// tries numbers the task's attempts from 1; failures counts its
+	// injected failures against MaxRetries.
+	tries    int
+	failures int
+	// ckpt is the task's durable checkpoint, nil until it writes one.
+	ckpt *checkpoint
+}
+
+// checkpoint is the synthetic file a task's checkpoints overwrite in
+// place, sized by the task's resident memory (what a checkpoint dumps),
+// and the fraction of the task's computation it preserves.
+type checkpoint struct {
+	workflow.File
+	progress float64
 }
 
 // Run plans and executes the workflow on the cluster using the given
@@ -235,13 +259,10 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		e:      e,
 		opts:   opts,
 		w:      w,
-		remain: make(map[*workflow.Task]int, len(w.Tasks)),
+		jobs:   make(map[*workflow.Task]*job, len(w.Tasks)),
 		done:   sim.NewWaitGroup(e),
 		result: &Result{},
-	}
-	if opts.Recorder != nil {
-		run.rec = opts.Recorder
-		run.tries = make(map[*workflow.Task]int, len(w.Tasks))
+		rec:    opts.Recorder,
 	}
 	if opts.FailureRate > 0 {
 		if opts.FailureRate >= 1 {
@@ -256,7 +277,6 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		if run.maxRetries == 0 {
 			run.maxRetries = DefaultMaxRetries
 		}
-		run.attempts = make(map[*workflow.Task]int)
 	}
 	if opts.OutageRate > 0 {
 		dur := opts.OutageDuration
@@ -274,10 +294,6 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		run.outages = sched
 		run.running = make(map[*cluster.Node][]*attempt)
 	}
-	if opts.CheckpointInterval > 0 || run.outages != nil {
-		run.progress = make(map[*workflow.Task]float64)
-		run.ckptFiles = make(map[*workflow.Task]*workflow.File)
-	}
 	if opts.DataAware {
 		run.disp = newDataAwareDispatcher(e, opts.Storage)
 	} else {
@@ -294,17 +310,17 @@ type execution struct {
 	opts   Options
 	w      *workflow.Workflow
 	disp   dispatcher
-	remain map[*workflow.Task]int
-	ready  *sim.Mailbox[*workflow.Task]
+	jobs   map[*workflow.Task]*job
+	ready  *sim.Mailbox[*job]
 	done   *sim.WaitGroup
 	result *Result
+	rec    eventlog.Recorder // nil unless the run is recorded
 
 	// Failure injection (nil failRand disables it). Failures are
 	// transient: once a task has exhausted maxRetries failed attempts it
 	// runs clean, so workflows always complete.
 	failRand   *rng.RNG
 	maxRetries int
-	attempts   map[*workflow.Task]int
 
 	// Correlated outages (nil outages disables them). Per-node daemons
 	// walk the deterministic schedule; running tracks in-flight attempts
@@ -313,55 +329,54 @@ type execution struct {
 	outages *outage.Schedule
 	running map[*cluster.Node][]*attempt
 	stopped bool
-
-	// Checkpoint/restart (nil maps disable it; allocated whenever
-	// checkpointing or outages are on, since both need restart
-	// bookkeeping). progress is the durable fraction of each task's
-	// computation; ckptFiles interns one synthetic checkpoint file per
-	// task, overwritten in place by successive checkpoints.
-	progress  map[*workflow.Task]float64
-	ckptFiles map[*workflow.Task]*workflow.File
-
-	// Event recording (nil rec disables it — the zero-cost default).
-	// tries numbers each task's attempts from 1 for the event stream.
-	rec   eventlog.Recorder
-	tries map[*workflow.Task]int
 }
 
-// attempt is the kill handle for one in-flight task attempt: an outage
-// on its node sets killed, and interrupts the attempt immediately when
-// it is inside an interruptible compute sleep (timer armed). Attempts
-// suspended elsewhere (mid-transfer, in admission queues) notice the
-// flag cooperatively at their next phase boundary.
+// attempt is one slot's in-flight task attempt. Each slot owns one and
+// reuses it across jobs, since a slot runs one attempt at a time.
+//
+// It is the attempt's kill handle: an outage on its node sets killed,
+// and interrupts the attempt immediately when it is inside an
+// interruptible compute sleep (timer armed). Attempts suspended
+// elsewhere (mid-transfer, in admission queues) notice the flag
+// cooperatively at their next phase boundary.
+//
+// It also holds the state emit folds the attempt's events into: the
+// span so far and the compute-seconds its checkpoints preserved.
 type attempt struct {
 	p      *sim.Proc
-	task   *workflow.Task
+	node   *cluster.Node
+	j      *job
 	killed bool
 	timer  *sim.Timer // non-nil while inside sleepAttempt
+	span   Span       // Start and Exec of the attempt so far
+	ckpt   float64    // compute-seconds this attempt's checkpoints preserved
 }
 
 // execute wires up DAGMan and the slots, then drives the engine to
 // completion.
 func (x *execution) execute() {
-	x.ready = sim.NewMailbox[*workflow.Task](x.e)
+	x.ready = sim.NewMailbox[*job](x.e)
 	x.done.Add(len(x.w.Tasks))
 
-	for _, t := range x.w.Tasks {
-		x.remain[t] = len(t.Parents())
-		if x.remain[t] == 0 {
-			x.ready.Put(t)
+	jobs := make([]job, len(x.w.Tasks))
+	for i, t := range x.w.Tasks {
+		j := &jobs[i]
+		j.task, j.remain = t, len(t.Parents())
+		x.jobs[t] = j
+		if j.remain == 0 {
+			x.ready.Put(j)
 		}
 	}
 
-	// DAGMan: submits ready tasks to the scheduler, throttled.
+	// DAGMan: submits ready jobs to the scheduler, throttled.
 	x.e.GoDaemon("dagman", func(p *sim.Proc) {
 		for {
-			t, ok := x.ready.Get(p)
+			j, ok := x.ready.Get(p)
 			if !ok {
 				return
 			}
 			p.Sleep(x.opts.SubmitDelay)
-			x.disp.submit(&job{task: t})
+			x.disp.submit(j)
 		}
 	})
 
@@ -371,6 +386,7 @@ func (x *execution) execute() {
 		for s := 0; s < node.Type.Cores; s++ {
 			node := node
 			x.e.GoDaemon(fmt.Sprintf("%s/slot%d", node.Name, s), func(p *sim.Proc) {
+				a := &attempt{p: p, node: node}
 				for {
 					j := x.disp.request(p, node)
 					if j == nil {
@@ -383,7 +399,7 @@ func (x *execution) execute() {
 						node.WaitUp(p)
 						continue
 					}
-					x.runJob(p, node, j)
+					x.runJob(a, j)
 					if x.outages != nil && node.Down() {
 						// The attempt was killed mid-run; don't request
 						// more work until the node recovers.
@@ -411,10 +427,8 @@ func (x *execution) execute() {
 					x.takeDown(node, w.Duration())
 					p.Sleep(w.End - p.Now())
 					node.SetUp()
-					if x.rec != nil {
-						x.rec.Record(eventlog.Event{T: p.Now(), Kind: eventlog.NodeUp, Node: node.Name})
-						x.rec.Record(eventlog.Event{T: p.Now(), Kind: eventlog.OutageEnd, Node: node.Name})
-					}
+					x.emit(nil, eventlog.Event{T: p.Now(), Kind: eventlog.NodeUp, Node: node.Name})
+					x.emit(nil, eventlog.Event{T: p.Now(), Kind: eventlog.OutageEnd, Node: node.Name})
 					if x.stopped {
 						return
 					}
@@ -436,55 +450,92 @@ func (x *execution) execute() {
 	x.e.Run()
 }
 
+// emit is the run's one emission point. It folds ev into the Result —
+// the attempt's span, BusySeconds and the Counters — and then hands the
+// same value to the Recorder, if any. a is the attempt the event belongs
+// to; node and outage events pass nil.
+func (x *execution) emit(a *attempt, ev eventlog.Event) {
+	r := x.result
+	switch ev.Kind {
+	case eventlog.TaskStart:
+		a.span = Span{Task: a.j.task, Node: ev.Node, Start: ev.T}
+		a.ckpt = 0
+	case eventlog.TaskExec:
+		a.span.Exec = ev.T
+	case eventlog.CheckpointWrite:
+		r.Checkpoints++
+		r.CheckpointBytes += ev.Size
+		// The same additions runJob makes to reach each checkpoint, so
+		// lost work comes out bit-identical to the compute clock.
+		a.ckpt += x.opts.CheckpointInterval
+	case eventlog.TaskFinish, eventlog.TaskFail:
+		span := a.span
+		span.WriteEnd = ev.T
+		busy := span.WriteEnd - span.Start
+		if ev.Kind == eventlog.TaskFail {
+			if span.Exec == 0 {
+				// Killed before computation began: the whole occupied
+				// window was staging (keeps trace phase accounting
+				// non-negative).
+				span.Exec = span.WriteEnd
+			}
+			span.Failed = true
+			r.LostWorkSeconds += busy - a.ckpt
+			if ev.Reason == "outage" {
+				r.OutageKills++
+			} else {
+				r.Failures++
+			}
+		}
+		r.Spans = append(r.Spans, span)
+		r.BusySeconds += busy
+	case eventlog.TaskRetry:
+		r.Retries++
+	case eventlog.OutageBegin:
+		r.Outages++
+	}
+	if x.rec != nil {
+		x.rec.Record(ev)
+	}
+}
+
 // takeDown starts an outage on node: kill every in-flight attempt and
 // mark the node offline so its slots idle and its data is unreadable.
 // dur is the scheduled outage length, carried on the outage-begin event.
 func (x *execution) takeDown(node *cluster.Node, dur float64) {
 	node.SetDown()
-	x.result.Outages++
-	if x.rec != nil {
-		now := x.e.Now()
-		x.rec.Record(eventlog.Event{T: now, Kind: eventlog.OutageBegin, Node: node.Name, Dur: dur})
-		x.rec.Record(eventlog.Event{T: now, Kind: eventlog.NodeDown, Node: node.Name})
-	}
-	for _, att := range x.running[node] {
-		att.killed = true
-		if x.rec != nil {
-			x.rec.Record(eventlog.Event{
-				T: x.e.Now(), Kind: eventlog.OutageKill, Task: att.task.ID, Node: node.Name,
-				Attempt: x.tries[att.task],
-			})
-		}
-		if att.timer != nil {
+	now := x.e.Now()
+	x.emit(nil, eventlog.Event{T: now, Kind: eventlog.OutageBegin, Node: node.Name, Dur: dur})
+	x.emit(nil, eventlog.Event{T: now, Kind: eventlog.NodeDown, Node: node.Name})
+	for _, a := range x.running[node] {
+		a.killed = true
+		x.emit(a, eventlog.Event{
+			T: now, Kind: eventlog.OutageKill, Task: a.j.task.ID, Node: node.Name, Attempt: a.j.tries,
+		})
+		if a.timer != nil {
 			// Interrupt the compute sleep right now; attempts blocked in
 			// transfers or queues notice the flag at their next boundary.
-			att.timer.Stop()
-			att.timer = nil
-			att.p.Resume()
+			a.timer.Stop()
+			a.timer = nil
+			a.p.Resume()
 		}
 	}
 }
 
-// register adds a kill handle for an attempt starting on node (nil when
-// outages are disabled — the zero-overhead default path).
-func (x *execution) register(p *sim.Proc, node *cluster.Node, t *workflow.Task) *attempt {
-	if x.outages == nil {
-		return nil
+// register makes a killable by an outage on its node (a no-op when
+// outages are disabled).
+func (x *execution) register(a *attempt) {
+	if x.outages != nil {
+		x.running[a.node] = append(x.running[a.node], a)
 	}
-	att := &attempt{p: p, task: t}
-	x.running[node] = append(x.running[node], att)
-	return att
 }
 
-// unregister removes the attempt's kill handle.
-func (x *execution) unregister(node *cluster.Node, att *attempt) {
-	if att == nil {
-		return
-	}
-	list := x.running[node]
-	for i, a := range list {
-		if a == att {
-			x.running[node] = append(list[:i], list[i+1:]...)
+// unregister removes a's kill handle.
+func (x *execution) unregister(a *attempt) {
+	list := x.running[a.node]
+	for i, b := range list {
+		if b == a {
+			x.running[a.node] = append(list[:i], list[i+1:]...)
 			return
 		}
 	}
@@ -494,82 +545,89 @@ func (x *execution) unregister(node *cluster.Node, att *attempt) {
 // returning false when an outage killed it (the sleep ends at the kill
 // instant). With outages disabled it is exactly Proc.Sleep, keeping
 // outage-free runs bit-identical.
-func (x *execution) sleepAttempt(p *sim.Proc, att *attempt, d float64) bool {
-	if att == nil {
+func (x *execution) sleepAttempt(a *attempt, d float64) bool {
+	p := a.p
+	if x.outages == nil {
 		p.Sleep(d)
 		return true
 	}
-	if att.killed {
+	if a.killed {
 		return false
 	}
 	finished := false
-	att.timer = x.e.After(d, func() {
+	a.timer = x.e.After(d, func() {
 		finished = true
-		att.timer = nil
+		a.timer = nil
 		p.Resume()
 	})
 	p.Suspend()
-	att.timer = nil
-	return finished && !att.killed
+	a.timer = nil
+	return finished && !a.killed
 }
 
-// ckptFile interns the synthetic checkpoint file for t: one file per
-// task, overwritten by each successive checkpoint, sized by the task's
-// resident memory (what a checkpoint actually dumps).
-func (x *execution) ckptFile(t *workflow.Task) *workflow.File {
-	if f, ok := x.ckptFiles[t]; ok {
-		return f
+// checkpoint interns the job's checkpoint on its first write.
+func (j *job) checkpoint() *checkpoint {
+	if j.ckpt == nil {
+		size := j.task.PeakMemory
+		if size <= 0 {
+			size = defaultCheckpointBytes
+		}
+		j.ckpt = &checkpoint{File: workflow.File{Name: "__ckpt__/" + j.task.ID, Size: size}}
 	}
-	size := t.PeakMemory
-	if size <= 0 {
-		size = defaultCheckpointBytes
-	}
-	f := &workflow.File{Name: "__ckpt__/" + t.ID, Size: size}
-	x.ckptFiles[t] = f
-	return f
+	return j.ckpt
 }
 
 // stage charges one storage access (an input read, checkpoint transfer,
-// or output write) on behalf of a task, bracketing it with
-// transfer-start/transfer-drain events when recording is on. With no
-// recorder it is exactly the direct Storage call.
-func (x *execution) stage(p *sim.Proc, node *cluster.Node, t *workflow.Task, f *workflow.File, phase string, write bool) {
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: p.Now(), Kind: eventlog.TransferStart,
-			Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
-		})
-	}
+// or output write) on behalf of the attempt, bracketed by
+// transfer-start/transfer-drain events.
+func (x *execution) stage(a *attempt, f *workflow.File, phase string, write bool) {
+	p, node, t := a.p, a.node, a.j.task
 	start := p.Now()
+	x.emit(a, eventlog.Event{
+		T: start, Kind: eventlog.TransferStart,
+		Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
+	})
 	if write {
 		x.opts.Storage.Write(p, node, f)
 	} else {
 		x.opts.Storage.Read(p, node, f)
 	}
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: p.Now(), Kind: eventlog.TransferDrain,
-			Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
-			Dur: p.Now() - start,
-		})
-	}
+	x.emit(a, eventlog.Event{
+		T: p.Now(), Kind: eventlog.TransferDrain,
+		Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
+		Dur: p.Now() - start,
+	})
 }
 
-// runJob executes one task on a slot: memory admission, input staging,
-// computation, output publication, then dependency release.
-func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
-	t := j.task
-	span := Span{Task: t, Node: node.Name, Start: p.Now()}
-	att := x.register(p, node, t)
-
-	attemptNo := 0
-	if x.rec != nil {
-		x.tries[t]++
-		attemptNo = x.tries[t]
-		x.rec.Record(eventlog.Event{
-			T: span.Start, Kind: eventlog.TaskStart, Task: t.ID, Node: node.Name, Attempt: attemptNo,
-		})
+// abort ends a failed attempt (injected failure or outage kill): it
+// frees the slot's memory and hands the job back to DAGMan.
+func (x *execution) abort(a *attempt, memMB int) {
+	if memMB > 0 {
+		a.node.Memory.Release(memMB)
 	}
+	x.unregister(a)
+	reason := "injected"
+	if a.killed {
+		reason = "outage"
+	}
+	t, now := a.j.task, a.p.Now()
+	x.emit(a, eventlog.Event{
+		T: now, Kind: eventlog.TaskFail, Task: t.ID, Node: a.node.Name,
+		Attempt: a.j.tries, Reason: reason,
+	})
+	x.emit(a, eventlog.Event{T: now, Kind: eventlog.TaskRetry, Task: t.ID, Attempt: a.j.tries})
+	x.ready.Put(a.j)
+}
+
+// runJob executes one attempt of j on the slot that owns a: memory
+// admission, input staging, computation, output publication, then
+// dependency release.
+func (x *execution) runJob(a *attempt, j *job) {
+	p, node, t := a.p, a.node, j.task
+	j.tries++
+	a.j, a.killed = j, false
+	x.register(a)
+	x.emit(a, eventlog.Event{T: p.Now(), Kind: eventlog.TaskStart, Task: t.ID, Node: node.Name, Attempt: j.tries})
 
 	memMB := 0
 	if !x.opts.SkipMemoryLimit && t.PeakMemory > 0 {
@@ -579,98 +637,48 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
 		}
 		node.Memory.Acquire(p, memMB)
 	}
-
-	// abort records a failed attempt (injected failure or outage kill),
-	// frees the slot's memory and hands the task back to DAGMan. durable
-	// is the compute-seconds this attempt preserved via checkpoints;
-	// everything else the slot spent is lost work.
-	abort := func(durable float64) {
-		if memMB > 0 {
-			node.Memory.Release(memMB)
-		}
-		if att != nil && att.killed {
-			x.result.OutageKills++
-		}
-		span.WriteEnd = p.Now()
-		if span.Exec == 0 {
-			// Killed before computation began: the whole occupied window
-			// was staging (keeps trace phase accounting non-negative).
-			span.Exec = span.WriteEnd
-		}
-		span.Failed = true
-		x.result.Spans = append(x.result.Spans, span)
-		x.result.BusySeconds += span.WriteEnd - span.Start
-		x.result.LostWorkSeconds += (span.WriteEnd - span.Start) - durable
-		x.result.Retries++
-		x.unregister(node, att)
-		if x.rec != nil {
-			reason := "injected"
-			if att != nil && att.killed {
-				reason = "outage"
-			}
-			x.rec.Record(eventlog.Event{
-				T: p.Now(), Kind: eventlog.TaskFail, Task: t.ID, Node: node.Name,
-				Attempt: attemptNo, Reason: reason,
-			})
-			x.rec.Record(eventlog.Event{
-				T: p.Now(), Kind: eventlog.TaskRetry, Task: t.ID, Attempt: attemptNo,
-			})
-		}
-		x.ready.Put(t)
-	}
-	killed := func() bool { return att != nil && att.killed }
-	if killed() {
+	if a.killed {
 		// The node died while this attempt was queued for memory
 		// admission; nothing ran, nothing is lost.
-		abort(0)
+		x.abort(a, memMB)
 		return
 	}
 
 	p.Sleep(x.opts.StartLatency)
-	if killed() {
+	if a.killed {
 		// The node died during slot activation: abort before staging so a
 		// dead node issues no storage traffic.
-		abort(0)
+		x.abort(a, memMB)
 		return
 	}
 	for _, f := range t.Inputs {
-		x.stage(p, node, t, f, "input", false)
-		if killed() {
-			abort(0)
+		x.stage(a, f, "input", false)
+		if a.killed {
+			x.abort(a, memMB)
 			return
 		}
 	}
 	full := t.Runtime / node.Type.CPUFactor
 	resume := 0.0
-	if x.progress != nil {
-		if frac := x.progress[t]; frac > 0 {
-			// Restore the last checkpoint before resuming: real staging
-			// traffic through the storage backend, like any input read.
-			ck := x.ckptFile(t)
-			x.stage(p, node, t, ck, "restore", false)
-			resume = frac * full
-			if x.rec != nil {
-				x.rec.Record(eventlog.Event{
-					T: p.Now(), Kind: eventlog.CheckpointRestore,
-					Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: attemptNo,
-				})
-			}
-			if killed() {
-				abort(0)
-				return
-			}
+	if ck := j.ckpt; ck != nil && ck.progress > 0 {
+		// Restore the last checkpoint before resuming: real staging
+		// traffic through the storage backend, like any input read.
+		x.stage(a, &ck.File, "restore", false)
+		resume = ck.progress * full
+		x.emit(a, eventlog.Event{
+			T: p.Now(), Kind: eventlog.CheckpointRestore,
+			Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: j.tries,
+		})
+		if a.killed {
+			x.abort(a, memMB)
+			return
 		}
 	}
-	span.Exec = p.Now()
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: span.Exec, Kind: eventlog.TaskExec, Task: t.ID, Node: node.Name, Attempt: attemptNo,
-		})
-	}
+	x.emit(a, eventlog.Event{T: p.Now(), Kind: eventlog.TaskExec, Task: t.ID, Node: node.Name, Attempt: j.tries})
 
 	cpu := full - resume
 	failAt := -1.0
-	if x.failRand != nil && x.attempts[t] < x.maxRetries &&
+	if x.failRand != nil && j.failures < x.maxRetries &&
 		x.failRand.Float64() < x.opts.FailureRate {
 		// Transient failure: the attempt dies a random fraction into its
 		// (remaining) computation, the slot is freed, and DAGMan
@@ -680,24 +688,20 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
 		failAt = cpu * x.failRand.Float64()
 	}
 	ran := 0.0
-	durable := 0.0 // compute-seconds preserved by checkpoints this attempt
 	for {
 		chunk := cpu
 		if x.opts.CheckpointInterval > 0 && ran+x.opts.CheckpointInterval < cpu {
 			chunk = ran + x.opts.CheckpointInterval
 		}
 		if failAt >= 0 && failAt <= chunk {
-			if !x.sleepAttempt(p, att, failAt-ran) {
-				abort(durable)
-				return
+			if x.sleepAttempt(a, failAt-ran) {
+				j.failures++
 			}
-			x.attempts[t]++
-			x.result.Failures++
-			abort(durable)
+			x.abort(a, memMB)
 			return
 		}
-		if !x.sleepAttempt(p, att, chunk-ran) {
-			abort(durable)
+		if !x.sleepAttempt(a, chunk-ran) {
+			x.abort(a, memMB)
 			return
 		}
 		ran = chunk
@@ -710,52 +714,42 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
 		// was killed while writing, the bytes landed, so the retry may
 		// resume from them (otherwise lost work would double-count paid
 		// checkpoint overhead).
-		ck := x.ckptFile(t)
-		x.stage(p, node, t, ck, "ckpt", true)
-		x.result.Checkpoints++
-		x.result.CheckpointBytes += ck.Size
-		x.progress[t] = (resume + ran) / full
-		durable = ran
-		if x.rec != nil {
-			x.rec.Record(eventlog.Event{
-				T: p.Now(), Kind: eventlog.CheckpointWrite,
-				Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: attemptNo,
-			})
-		}
-		if killed() {
-			abort(durable)
+		ck := j.checkpoint()
+		x.stage(a, &ck.File, "ckpt", true)
+		ck.progress = (resume + ran) / full
+		x.emit(a, eventlog.Event{
+			T: p.Now(), Kind: eventlog.CheckpointWrite,
+			Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: j.tries,
+		})
+		if a.killed {
+			x.abort(a, memMB)
 			return
 		}
 	}
 
 	for _, f := range t.Outputs {
-		x.stage(p, node, t, f, "output", true)
-		if killed() {
-			abort(durable)
+		x.stage(a, f, "output", true)
+		if a.killed {
+			x.abort(a, memMB)
 			return
 		}
 	}
-	span.WriteEnd = p.Now()
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: span.WriteEnd, Kind: eventlog.TaskFinish, Task: t.ID, Node: node.Name,
-			Attempt: attemptNo, Dur: span.WriteEnd - span.Start,
-		})
-	}
-
+	now := p.Now()
+	x.emit(a, eventlog.Event{
+		T: now, Kind: eventlog.TaskFinish, Task: t.ID, Node: node.Name,
+		Attempt: j.tries, Dur: now - a.span.Start,
+	})
 	if memMB > 0 {
 		node.Memory.Release(memMB)
 	}
-
-	x.result.Spans = append(x.result.Spans, span)
-	x.result.BusySeconds += span.WriteEnd - span.Start
-	x.unregister(node, att)
+	x.unregister(a)
 
 	// DAGMan dependency release.
 	for _, c := range t.Children() {
-		x.remain[c]--
-		if x.remain[c] == 0 {
-			x.ready.Put(c)
+		cj := x.jobs[c]
+		cj.remain--
+		if cj.remain == 0 {
+			x.ready.Put(cj)
 		}
 	}
 	x.done.Done()
